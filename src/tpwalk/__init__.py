@@ -24,7 +24,6 @@ from .core import (
 from .circuits import (
     CircuitSet,
     Decomposition,
-    apply_step,
     circuit_count,
     enumerate_circuits,
     max_step,

@@ -108,16 +108,10 @@ def max_step(y: Matrix, g: Circuit) -> Fraction | None:
     A circuit applies at a feasible point only when every edge it wants to
     decrease carries positive flow.
     """
-    y = as_matrix(y)
     flows = [y[i][j] for i, j in g.decreased()]
     if any(x <= 0 for x in flows):
         return None
     return min(flows)
-
-
-def apply_step(y: Matrix, g: Circuit, alpha) -> Matrix:
-    """y + alpha * g. No feasibility check; margins are preserved."""
-    return apply_circuit(as_matrix(y), g, alpha)
 
 
 @dataclass(frozen=True)
@@ -160,7 +154,7 @@ class Decomposition:
 
     def as_walk(self, start: Matrix) -> Walk:
         """The decomposition as a walk from start, one term per step."""
-        pts = [as_matrix(start)]
+        pts = [start]
         for g, a in self.terms:
             pts.append(apply_circuit(pts[-1], g, a))
         return Walk("CD_s", tuple(pts), self.terms)

@@ -36,11 +36,12 @@ from .core import (
     TransportError,
     UnreachableCaseError,
     Walk,
+    apply_circuit,
     edge_distance,
     objective,
     support_graph,
 )
-from .circuits import apply_step, max_step
+from .circuits import max_step
 from .polytope import insert_pivot, is_nondegenerate
 
 
@@ -196,6 +197,12 @@ def mark_pivot(state: MarkState, i: int) -> tuple[PivotChoice | None, MarkState]
         raise DegenerateError("marking rounds need a non-degenerate instance")
     if not (0 <= i < inst.m):
         raise TransportError(f"no supply {i}")
+    return _mark_round(state, i)
+
+
+def _mark_round(state: MarkState, i: int) -> tuple[PivotChoice | None, MarkState]:
+    """The round body of mark_pivot, for walks that checked the instance
+    once at entry."""
     if not _mixed_parity_ok(state, i):
         raise HypothesisError(
             f"marked mixed edges not all at even positions from supply {i}"
@@ -345,7 +352,7 @@ def _edge_walk_2xn(O: Assignment, F: Assignment, choose=None
         if i not in cands:
             raise UnreachableCaseError(f"override chose supply {i} outside {cands}")
         before = state
-        choice, state = mark_pivot(state, i)
+        choice, state = _mark_round(state, i)
         _record(trace, before, state, choice, f"round at supply {i}")
         if choice is not None:
             points.append(state.current.flows)
@@ -569,7 +576,7 @@ def _marklem_round(state: MarkState, i: int, trace: MarkTrace
                    ) -> tuple[PivotChoice | None, MarkState]:
     if _would_run_double_insertion(state, i):
         trace.step4_hits += 1
-    return mark_pivot(state, i)
+    return _mark_round(state, i)
 
 
 def _dispatch_3xn(state: MarkState, prev: str, trace: MarkTrace
@@ -732,7 +739,7 @@ def cdfm_walk_2xn(O: Assignment, F: Assignment) -> Walk:
         alpha = max_step(cur, g)
         if alpha is None or alpha <= 0:
             raise UnreachableCaseError("constructed step is not applicable")
-        cur = apply_step(cur, g, alpha)
+        cur = apply_circuit(cur, g, alpha)
         points.append(cur)
         steps.append((g, alpha))
     else:

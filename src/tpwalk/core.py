@@ -47,8 +47,10 @@ def parse_rational(x) -> Fraction:
     """
     if isinstance(x, float):
         raise TransportError(f"refusing float {x!r}; pass a string or Fraction")
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
         return Fraction(x)
+    if isinstance(x, Fraction):
+        return x  # immutable, so no copy is needed
     if isinstance(x, str):
         return Fraction(x.strip())
     raise TransportError(f"cannot read a rational from {x!r}")
@@ -112,22 +114,29 @@ def support_graph(flows: Matrix) -> frozenset[Edge]:
     )
 
 
-def _has_cycle(edges, m: int) -> bool:
-    # Union-find over supply nodes 0..m-1 and demand nodes m, m+1, ...
-    parent: dict[int, int] = {}
+def _find(parent: list[int], x: int) -> int:
+    """Union-find root of node x, halving the path on the way up."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
-    def find(a):
-        while parent.setdefault(a, a) != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
 
+def _cycle_count(edges, m: int, n: int) -> int:
+    """Independent cycles in a subgraph of K_{m,n}: 0 for a forest.
+
+    Counts the edges that close a cycle under union-find over supply
+    nodes 0..m-1 and demand nodes m..m+n-1.
+    """
+    parent = list(range(m + n))
+    closing = 0
     for i, j in edges:
-        ra, rb = find(i), find(m + j)
+        ra, rb = _find(parent, i), _find(parent, m + j)
         if ra == rb:
-            return True
-        parent[ra] = rb
-    return False
+            closing += 1
+        else:
+            parent[ra] = rb
+    return closing
 
 
 @dataclass(frozen=True)
@@ -164,7 +173,7 @@ class Assignment:
 
     def is_vertex(self) -> bool:
         """A feasible point is a vertex iff its support graph is a forest."""
-        return not _has_cycle(self.support, self.inst.m)
+        return _cycle_count(self.support, self.inst.m, self.inst.n) == 0
 
 
 @dataclass(frozen=True)
@@ -226,10 +235,6 @@ class Circuit:
                 raise TransportError(f"circuit node ({i},{j}) outside {m}x{n}")
             flat[i * n + j] = sg
         return tuple(flat)
-
-    def canon(self) -> "Circuit":
-        """Canonical representative; the constructor already applies it."""
-        return Circuit(self.supplies, self.demands)
 
     def __neg__(self) -> "Circuit":
         # Reversing the cycle swaps increased and decreased edges.

@@ -26,9 +26,10 @@ from .core import (
     ResourceLimitError,
     TransportError,
     UnreachableCaseError,
-    _has_cycle,
+    _cycle_count,
     parse_rational,
 )
+from .oracle import _reduce, cd_at_most
 from .polytope import _solve_tree, is_nondegenerate, northwest_corner
 
 
@@ -112,22 +113,6 @@ def gen_diameter_n(n: int) -> GeneratedCase:
     )
 
 
-def _rank(vectors) -> int:
-    rows = [[Fraction(x) for x in vec] for vec in vectors]
-    rank = 0
-    for col in range(len(rows[0])):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col] != 0:
-                f = rows[r][col] / rows[rank][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
 def _lower_bound_circuits(m: int, n: int) -> list[Circuit]:
     """The five fixed families, selected by the stated side-conditions.
 
@@ -171,11 +156,15 @@ def gen_hirsch_sharp(m: int, n: int) -> GeneratedCase:
         for b in range(a + 1, k):
             if any(x * y < 0 for x, y in zip(vecs[a], vecs[b])):
                 raise UnreachableCaseError(f"circuits {a} and {b} oppose each other")
-    if _rank(vecs) != k:
-        raise UnreachableCaseError("circuit family is linearly dependent")
+    basis = []
+    for vec in vecs:
+        red = _reduce(vec, basis)
+        if red is None:
+            raise UnreachableCaseError("circuit family is linearly dependent")
+        basis.append((next(p for p, x in enumerate(red) if x), red))
     solid = frozenset(e for g in circuits for e in g.decreased())
     dashed = frozenset(e for g in circuits for e in g.increased())
-    if _has_cycle(solid, m) or _has_cycle(dashed, m):
+    if _cycle_count(solid, m, n) or _cycle_count(dashed, m, n):
         raise UnreachableCaseError("an edge union contains a cycle")
     u = [sum(1 for g in circuits if i in g.supplies) for i in range(m)]
     v = [sum(1 for g in circuits if j in g.demands) for j in range(n)]
@@ -252,8 +241,6 @@ def perturb_certified(case: GeneratedCase, eps=Fraction(1, 1024),
     realizes it by halving until the oracle confirms that k-1 circuits
     no longer reach the target while k still do.
     """
-    from .oracle import cd_at_most
-
     k = case.expected.get("perturbed_min_circuits")
     if k is None:
         raise TransportError("case carries no perturbed lower-bound claim")

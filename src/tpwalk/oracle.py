@@ -23,8 +23,9 @@ from .core import (
     ResourceLimitError,
     TransportError,
     UnreachableCaseError,
+    apply_circuit,
 )
-from .circuits import CircuitSet, apply_step, enumerate_circuits, max_step
+from .circuits import CircuitSet, enumerate_circuits, max_step
 from .polytope import (
     VertexSet,
     are_adjacent,
@@ -164,7 +165,7 @@ def cdfm_distance(
                 a = max_step(y, g)
                 if a is None:
                     continue
-                z = apply_step(y, g, a)
+                z = apply_circuit(y, g, a)
                 if z == goal:
                     return depth
                 if z not in seen:

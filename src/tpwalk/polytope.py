@@ -20,6 +20,8 @@ from .core import (
     Matrix,
     ResourceLimitError,
     TransportError,
+    _cycle_count,
+    _find,
     apply_circuit,
 )
 
@@ -158,14 +160,7 @@ def enumerate_vertices(inst: Instance, cap_trees: int = 10**7) -> VertexSet:
         if len(edges) - pos < need - len(chosen):
             return
         i, j = edges[pos]
-
-        def find(p, x):
-            while p[x] != x:
-                p[x] = p[p[x]]
-                x = p[x]
-            return x
-
-        ra, rb = find(parent, i), find(parent, m + j)
+        ra, rb = _find(parent, i), _find(parent, m + j)
         if ra != rb:
             child = list(parent)
             child[ra] = rb
@@ -190,23 +185,7 @@ def are_adjacent(O: Assignment, C: Assignment) -> bool:
         raise TransportError("adjacency needs a common instance")
     _require_vertex(O, "first argument")
     _require_vertex(C, "second argument")
-    m = O.inst.m
-    parent = list(range(m + O.inst.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    closing = 0
-    for i, j in sorted(O.support | C.support):
-        ra, rb = find(i), find(m + j)
-        if ra == rb:
-            closing += 1
-        else:
-            parent[ra] = rb
-    return closing == 1
+    return _cycle_count(O.support | C.support, O.inst.m, O.inst.n) == 1
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from .core import (
     apply_circuit,
     objective,
     support_graph,
-    _has_cycle,
+    _cycle_count,
 )
 from .circuits import max_step
 from .polytope import are_adjacent
@@ -46,7 +46,7 @@ def _margins_ok(inst: Instance, point) -> bool:
 def _is_vertex_point(inst: Instance, point) -> bool:
     if any(x < 0 for row in point for x in row):
         return False
-    return not _has_cycle(support_graph(point), inst.m)
+    return _cycle_count(support_graph(point), inst.m, inst.n) == 0
 
 
 def validate_walk(w: Walk, inst: Instance) -> WalkReport:

@@ -9,7 +9,7 @@ from tpwalk import (
     Circuit,
     Decomposition,
     TransportError,
-    apply_step,
+    apply_circuit,
     circuit_count,
     enumerate_circuits,
     enumerate_vertices,
@@ -33,7 +33,7 @@ def test_circuit_count_closed_form(m, n, want):
 def test_enumerate_matches_count(m, n):
     cs = enumerate_circuits(m, n)
     assert len(cs) == circuit_count(m, n)
-    assert len({g.canon() for g in cs}) == len(cs)
+    assert len(set(cs)) == len(cs)
     assert len(list(cs.oriented())) == 2 * len(cs)
 
 
@@ -51,7 +51,7 @@ def test_max_step():
     g = Circuit((0, 1), (1, 0))
     assert max_step(case.O.flows, g) == 1
     assert max_step(case.F.flows, g) is None
-    stepped = apply_step(case.O.flows, g, Fraction(1))
+    stepped = apply_circuit(case.O.flows, g, Fraction(1))
     assert stepped == ((1, 2, 0), (1, 0, 2))
 
 

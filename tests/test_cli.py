@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from tpwalk import cli
+from tpwalk import Walk, apply_circuit, cli
 
 
 def run(args):
@@ -168,6 +168,26 @@ def test_sweep_parallel_matches_serial():
     )
     assert rc1 == rc2 == 0
     assert json.loads(out1) == json.loads(out2)
+
+
+def test_sweep_revalidates_walks(monkeypatch):
+    construct = cli.edge_walk_2xn_report
+
+    def corrupted(O, F):
+        # Double the first step: same length, but it overshoots into a
+        # negative flow, so only revalidation can catch it.
+        walk, trace = construct(O, F)
+        g, a = walk.steps[0]
+        start = walk.points[0]
+        bad = Walk(walk.kind, (start, apply_circuit(start, g, 2 * a)), ((g, 2 * a),))
+        return bad, trace
+
+    monkeypatch.setattr(cli, "edge_walk_2xn_report", corrupted)
+    rc, out, _ = run(["sweep", "--family", "2xn", "--count", "1", "--pairs", "2",
+                      "--workers", "1"])
+    assert rc == 1
+    (row,) = json.loads(out)
+    assert row["max_length"] <= row["bound"] and row["pass"] is False
 
 
 def test_conflicting_sources_fail():

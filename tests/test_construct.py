@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from tpwalk import (
     Assignment,
+    DegenerateError,
     Instance,
     MarkState,
     UnreachableCaseError,
@@ -91,6 +92,36 @@ def test_mark_pivot_single_round(case):
     assert choice.deleted == (0, 1)
     assert choice.alpha == 1
     assert after.marked == frozenset({(0, 2)})
+
+
+def _degenerate_pair(u, v):
+    verts = enumerate_vertices(Instance(u, v))
+    return verts[0], verts[-1]
+
+
+@pytest.mark.parametrize("u,v", [((2, 2), (2, 2)), ((1, 1, 2), (2, 2))])
+def test_mark_pivot_rejects_degenerate(u, v):
+    O, F = _degenerate_pair(u, v)
+    with pytest.raises(DegenerateError):
+        mark_pivot(MarkState(O, frozenset(), F), 0)
+
+
+@pytest.mark.parametrize("walk", [
+    lambda O, F: edge_walk_2xn_report(O, F),
+    lambda O, F: monotone_walk_2xn_report(O, [[0, 1], [1, 0]]),
+])
+def test_2xn_walks_reject_degenerate(walk):
+    # The instance is checked once at entry, not in each marking round,
+    # so bad input must still surface as DegenerateError, not a bug trap.
+    O, F = _degenerate_pair((2, 2), (2, 2))
+    with pytest.raises(DegenerateError):
+        walk(O, F)
+
+
+def test_3xn_walk_rejects_degenerate():
+    O, F = _degenerate_pair((1, 1, 2), (2, 2))
+    with pytest.raises(DegenerateError):
+        edge_walk_3xn_report(O, F)
 
 
 def test_edge_walk_3xn_pinned(three_by_three):
