@@ -39,7 +39,10 @@ COMMANDS = {
                          "--n", "3", "--eps", "1/1024"],
     "perturb-hirsch33-certify": ["perturb", "--gen", "hirsch_sharp", "--m", "3",
                                  "--n", "3", "--eps", "1/1024", "--certify"],
+    "perturb-hirsch34-certify": ["perturb", "--gen", "hirsch_sharp", "--m", "3",
+                                 "--n", "4", "--certify"],
     "verify-all": ["verify", "--suite", "all"],
+    "verify-lowerbound-deep": ["verify", "--suite", "lowerbound", "--deep"],
     "sweep-2xn": ["sweep", "--family", "2xn", "--count", "50", "--seed", "0"],
     "sweep-3xn": ["sweep", "--family", "3xn", "--count", "20", "--seed", "0"],
 }

@@ -1,8 +1,11 @@
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from tpwalk import (
+    Instance,
     ResourceLimitError,
     TransportError,
     cd_at_most,
@@ -12,10 +15,12 @@ from tpwalk import (
     enumerate_vertices,
     gen_coincide,
     gen_example1,
+    gen_hirsch_sharp,
     graph_diameter,
     graph_distance,
     graph_distance_table,
     neighbor_graph,
+    perturb,
     random_instance,
 )
 
@@ -93,3 +98,58 @@ def test_hierarchy_chain_on_random_instances():
                 cdfm = cdfm_distance(verts[a], verts[b], circuits=cs)
                 cdmin = cd_minimum(verts[a], verts[b], circuits=cs)
                 assert cde >= cdfm >= cdmin >= 1
+
+
+def _rank(rows) -> int:
+    """Rank over the rationals by plain Fraction elimination."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _reference_cd(O, F, vecs) -> int:
+    """Fewest circuits whose span holds y^F - y^O, by trying every subset
+    of each size in full m*n coordinates."""
+    diff = [F.flows[i][j] - O.flows[i][j]
+            for i in range(O.inst.m) for j in range(O.inst.n)]
+    for size in range(len(vecs) + 1):
+        for subset in combinations(vecs, size):
+            if _rank(list(subset) + [diff]) == _rank(subset):
+                return size
+    raise AssertionError("the circuits do not span the difference")
+
+
+def _reference_cases():
+    rng = random.Random("cd-reference")
+    for m, n in ((2, 3), (2, 4), (3, 3)):
+        verts = enumerate_vertices(random_instance(rng, m, n))
+        for _ in range(8):
+            a, b = rng.sample(range(len(verts)), 2)
+            yield verts[a], verts[b]
+    sharp = perturb(gen_hirsch_sharp(3, 3), Fraction(1, 1024))
+    yield sharp.O, sharp.F
+    for u, v in (((2, 2), (2, 2)), ((1, 1, 2), (2, 2))):
+        verts = enumerate_vertices(Instance(u, v))
+        for a in range(len(verts)):
+            for b in range(a + 1, len(verts)):
+                yield verts[a], verts[b]
+
+
+def test_cd_matches_subset_reference():
+    for O, F in _reference_cases():
+        m, n = O.inst.m, O.inst.n
+        cs = enumerate_circuits(m, n)
+        want = _reference_cd(O, F, [g.vector(m, n) for g in cs])
+        got = [cd_at_most(O, F, k, circuits=cs) for k in range(m + n)]
+        assert got == [k >= want for k in range(m + n)], (O.flows, F.flows)
+        assert cd_minimum(O, F, circuits=cs) == want
