@@ -33,10 +33,12 @@ from .core import (
     Edge,
     HypothesisError,
     Instance,
+    Matrix,
     TransportError,
     UnreachableCaseError,
     Walk,
     apply_circuit,
+    as_matrix,
     edge_distance,
     objective,
     support_graph,
@@ -303,8 +305,7 @@ def _check_walk_done(state: MarkState):
         raise UnreachableCaseError("all edges marked but target not reached")
 
 
-def _edge_walk_2xn(O: Assignment, F: Assignment, choose=None
-                   ) -> tuple[Walk, MarkTrace]:
+def _edge_walk_2xn(O: Assignment, F: Assignment) -> tuple[Walk, MarkTrace]:
     inst = O.inst
     if inst.m != 2:
         raise TransportError("this walk needs exactly 2 supplies")
@@ -312,6 +313,13 @@ def _edge_walk_2xn(O: Assignment, F: Assignment, choose=None
         raise TransportError("walk endpoints need a common instance")
     if not is_nondegenerate(inst):
         raise DegenerateError("edge walks need a non-degenerate instance")
+    return _marking_walk_2xn(O, F)
+
+
+def _marking_walk_2xn(O: Assignment, F: Assignment, choose=None
+                      ) -> tuple[Walk, MarkTrace]:
+    """The walk body of _edge_walk_2xn, for callers that checked the
+    instance once at entry."""
     for a, name in ((O, "start"), (F, "target")):
         if not a.is_vertex():
             raise TransportError(f"{name} is not a vertex")
@@ -393,18 +401,32 @@ def lp_optimum_2xn(inst: Instance, s) -> Assignment:
     rest from supply 2. Non-degeneracy makes the split column proper, so
     the result is the unique optimal vertex up to objective ties.
     """
+    s = as_matrix(s)
+    _check_greedy(inst, s)
+    return _lp_optimum_2xn(inst, s)
+
+
+def _check_greedy(inst: Instance, s: Matrix):
     if inst.m != 2:
         raise TransportError("needs exactly 2 supplies")
+    if len(s) != 2 or len(s[0]) != inst.n:
+        raise TransportError(f"cost matrix is not 2x{inst.n}")
     if not is_nondegenerate(inst):
         raise DegenerateError("greedy optimum needs a non-degenerate instance")
+
+
+def _greedy_order(s: Matrix) -> list[int]:
+    return sorted(range(len(s[0])), key=lambda j: s[1][j] - s[0][j])
+
+
+def _lp_optimum_2xn(inst: Instance, s: Matrix) -> Assignment:
+    """The body of lp_optimum_2xn, for a checked instance and a
+    normalized cost matrix."""
     n = inst.n
-    if len(s) != 2 or any(len(row) != n for row in s):
-        raise TransportError(f"cost matrix is not 2x{n}")
-    order = sorted(range(n), key=lambda j: -(Fraction(s[0][j]) - Fraction(s[1][j])))
     grid = [[Fraction(0)] * n for _ in range(2)]
     acc = Fraction(0)
     split = None
-    for pos, col in enumerate(order):
+    for pos, col in enumerate(_greedy_order(s)):
         if acc + inst.v[col] < inst.u[0]:
             grid[0][col] = inst.v[col]
             acc += inst.v[col]
@@ -437,11 +459,10 @@ def monotone_walk_2xn_report(O: Assignment, s) -> tuple[Walk, MarkTrace]:
     has nonnegative reduced cost.
     """
     inst = O.inst
-    F = lp_optimum_2xn(inst, s)
-    order = sorted(
-        range(inst.n), key=lambda j: -(Fraction(s[0][j]) - Fraction(s[1][j]))
-    )
-    pos = {col: p for p, col in enumerate(order)}
+    s = as_matrix(s)
+    _check_greedy(inst, s)
+    F = _lp_optimum_2xn(inst, s)
+    pos = {col: p for p, col in enumerate(_greedy_order(s))}
     target_mixed = _mixed_pair_2xn(F.support)
 
     def choose(state, q, cands):
@@ -450,7 +471,7 @@ def monotone_walk_2xn_report(O: Assignment, s) -> tuple[Walk, MarkTrace]:
         want = 1 if pos[q] < pos[target_mixed] else 0
         return want
 
-    walk, trace = _edge_walk_2xn(O, F, choose=choose)
+    walk, trace = _marking_walk_2xn(O, F, choose=choose)
     values = [objective(s, p) for p in walk.points]
     for idx in range(len(values) - 1):
         if values[idx] > values[idx + 1]:

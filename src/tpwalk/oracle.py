@@ -1,14 +1,15 @@
 """Brute-force distance oracles, independent of the constructive walks.
 
-Three notions, three engines. Skeleton distance runs BFS on the vertex
-graph (neighbors generated on demand by insertion pivots when the
-instance is non-degenerate, by pairwise adjacency otherwise). The
-maximal-step distance runs BFS over exact flow states. The unrestricted
-circuit distance reduces to linear algebra: a difference vector is
-reachable in k unrestricted steps iff it lies in the span of at most k
-circuits, since orientations absorb signs and zero coefficients shrink
-the set. The span search works in kernel coordinates, dimension
-(m-1)(n-1), with a fraction-free integer echelon.
+Three notions, three engines. Skeleton distance enumerates every vertex
+by spanning-tree search, builds the whole neighbor graph (one insertion
+pivot per absent edge when the instance is non-degenerate, pairwise
+adjacency tests otherwise) and runs BFS on it. The maximal-step distance
+runs BFS over exact flow states. The unrestricted circuit distance
+reduces to linear algebra: a difference vector is reachable in k
+unrestricted steps iff it lies in the span of at most k circuits, since
+orientations absorb signs and zero coefficients shrink the set. The span
+search works in kernel coordinates, dimension (m-1)(n-1), with a
+fraction-free integer echelon that is extended one row at a time.
 """
 
 from __future__ import annotations
@@ -181,10 +182,9 @@ def cdfm_distance(
     return None
 
 
-def _normalize_row(row: list[int]) -> tuple[int, ...] | None:
-    g = 0
-    for x in row:
-        g = gcd(g, abs(x))
+def _normalize_row(row) -> tuple[int, ...] | None:
+    """Primitive integer form with a positive leading entry, or None."""
+    g = gcd(*row)
     if g == 0:
         return None
     lead = next(x for x in row if x != 0)
@@ -195,7 +195,7 @@ def _normalize_row(row: list[int]) -> tuple[int, ...] | None:
 
 def _reduce(vec, basis) -> tuple[int, ...] | None:
     """Fraction-free elimination of vec against echelon rows."""
-    cur = list(vec)
+    cur = vec
     for pivot, row in basis:
         c = cur[pivot]
         if c:
@@ -215,9 +215,16 @@ def cd_at_most(
 
     Equivalent to span membership over <= k unoriented circuits (signs
     are a choice of orientation; a dependent set never beats its
-    independent subsets). Searched by DFS over index-increasing subsets
-    with an incremental echelon, skipping dependent additions, plus a
-    support-coverage prune. Exact throughout.
+    independent subsets). Searched by DFS over index-increasing subsets.
+    Each node holds the target and the later circuits reduced against its
+    echelon basis, in primitive form, so a reduced vector names its line
+    modulo the basis: choosing a circuit eliminates its pivot from every
+    later candidate once, and a candidate that vanishes leaves the whole
+    subtree. One more circuit reaches the target iff some candidate lies
+    on the target's line; two more iff two candidates on distinct lines
+    fall on one line once the target's pivot is eliminated too. Deeper
+    choices pass a support-coverage prune. Exact throughout; a solve is
+    one candidate elimination.
     """
     if O.inst != F.inst:
         raise TransportError("distance needs a common instance")
@@ -254,45 +261,60 @@ def cd_at_most(
             if diff[i][j] != 0:
                 target_mask |= 1 << (i * n + j)
 
-    circ_vecs = []
-    circ_masks = []
+    cands = []
     for g in cs:
         signs = g.signs()
-        circ_vecs.append(tuple(signs.get(e, 0) for e in coords))
         mask = 0
         for i, j in signs:
             mask |= 1 << (i * n + j)
-        circ_masks.append(mask)
-    total = len(circ_vecs)
+        cands.append((_normalize_row([signs.get(e, 0) for e in coords]), mask))
     max_support = 2 * min(m, n)
     solves = 0
+    deepest = 0
 
-    def dfs(start: int, basis, residual, cover: int, depth: int) -> bool:
+    def eliminate(vec, pivot, row):
         nonlocal solves
-        for idx in range(start, total):
-            solves += 1
-            if solves > cap_solves:
-                raise ResourceLimitError(
-                    f"circuit-subset search exceeded {cap_solves} solves"
-                )
-            red = _reduce(circ_vecs[idx], basis)
-            if red is None:
-                continue  # dependent on the chosen set
-            pivot = next(p for p, x in enumerate(red) if x)
-            new_res = _reduce(residual, [(pivot, red)])
-            if new_res is None:
-                return True
-            if depth + 1 == k:
-                continue
-            new_cover = cover | circ_masks[idx]
-            missing = bin(target_mask & ~new_cover).count("1")
+        solves += 1
+        if solves > cap_solves:
+            raise ResourceLimitError(
+                f"circuit-subset search for k={k} exceeded {cap_solves} "
+                f"solves (largest basis reached: {deepest})"
+            )
+        return vec if not vec[pivot] else _reduce(vec, ((pivot, row),))
+
+    def dfs(cands, residual, cover: int, depth: int) -> bool:
+        nonlocal deepest
+        deepest = max(deepest, depth)
+        if k - depth == 2:
+            pivot = next(p for p, x in enumerate(residual) if x)
+            first_on_line = {}
+            for vec, _ in cands:
+                line = eliminate(vec, pivot, residual)
+                # None: vec is on the residual's line, one circuit does.
+                if line is None or first_on_line.setdefault(line, vec) != vec:
+                    return True
+            return False
+        if any(vec == residual for vec, _ in cands):
+            return True
+        if k - depth == 1:
+            return False
+        for idx, (vec, mask) in enumerate(cands):
+            new_cover = cover | mask
+            missing = (target_mask & ~new_cover).bit_count()
             if missing and depth + 1 + (missing + max_support - 1) // max_support > k:
                 continue
-            if dfs(idx + 1, basis + [(pivot, red)], new_res, new_cover, depth + 1):
+            vpivot = next(p for p, x in enumerate(vec) if x)
+            rest = []
+            for later, later_mask in cands[idx + 1:]:
+                red = eliminate(later, vpivot, vec)
+                if red is not None:
+                    rest.append((red, later_mask))
+            new_res = _reduce(residual, ((vpivot, vec),))
+            if dfs(rest, new_res, new_cover, depth + 1):
                 return True
         return False
 
-    return dfs(0, [], target, 0, 0)
+    return dfs(cands, target, 0, 0)
 
 
 def cd_minimum(

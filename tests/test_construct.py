@@ -9,6 +9,7 @@ from tpwalk import (
     DegenerateError,
     Instance,
     MarkState,
+    TransportError,
     UnreachableCaseError,
     cdfm_walk_2xn,
     critical_edges,
@@ -116,6 +117,15 @@ def test_2xn_walks_reject_degenerate(walk):
     O, F = _degenerate_pair((2, 2), (2, 2))
     with pytest.raises(DegenerateError):
         walk(O, F)
+
+
+@pytest.mark.parametrize("greedy", [
+    lambda case, s: lp_optimum_2xn(case.inst, s),
+    lambda case, s: monotone_walk_2xn_report(case.O, s),
+])
+def test_2xn_greedy_rejects_float_cost(case, greedy):
+    with pytest.raises(TransportError, match="refusing float 0.5"):
+        greedy(case, [[0.5, 1, 2], [2, 1, 0]])
 
 
 def test_3xn_walk_rejects_degenerate():

@@ -64,6 +64,13 @@ def test_resource_caps():
         cd_at_most(other.O, other.F, 2, cap_solves=1)
 
 
+def test_cd_cap_names_progress():
+    sharp = perturb(gen_hirsch_sharp(3, 3), Fraction(1, 1024))
+    with pytest.raises(ResourceLimitError,
+                       match=r"k=3 exceeded 50 solves \(largest basis reached: 1\)"):
+        cd_at_most(sharp.O, sharp.F, 3, cap_solves=50)
+
+
 def test_distance_table_matches_pointwise(case):
     verts = enumerate_vertices(case.inst)
     table = graph_distance_table(case.inst)
