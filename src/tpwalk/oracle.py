@@ -290,7 +290,7 @@ def cd_at_most(
             first_on_line = {}
             for vec, _ in cands:
                 line = eliminate(vec, pivot, residual)
-                # None: vec is on the residual's line, one circuit does.
+                # None: vec lies on the residual's line, so one suffices.
                 if line is None or first_on_line.setdefault(line, vec) != vec:
                     return True
             return False

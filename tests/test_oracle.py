@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from tpwalk import (
+    CircuitSet,
     Instance,
     ResourceLimitError,
     TransportError,
@@ -138,8 +139,11 @@ def _reference_cd(O, F, vecs) -> int:
 
 def _reference_cases():
     rng = random.Random("cd-reference")
-    for m, n in ((2, 3), (2, 4), (3, 3)):
-        verts = enumerate_vertices(random_instance(rng, m, n))
+    # Small margins on 2x5 tie demands, so some targets are reached only
+    # through one particular circuit, or only by circuits whose supports
+    # just cover the target's.
+    for m, n, high in ((2, 3, 50), (2, 4, 50), (3, 3, 50), (2, 5, 12)):
+        verts = enumerate_vertices(random_instance(rng, m, n, high=high))
         for _ in range(8):
             a, b = rng.sample(range(len(verts)), 2)
             yield verts[a], verts[b]
@@ -160,3 +164,10 @@ def test_cd_matches_subset_reference():
         got = [cd_at_most(O, F, k, circuits=cs) for k in range(m + n)]
         assert got == [k >= want for k in range(m + n)], (O.flows, F.flows)
         assert cd_minimum(O, F, circuits=cs) == want
+        # The search is order dependent; its answer must not be. Each
+        # rotation puts another circuit last.
+        for r in range(1, len(cs)):
+            rotated = CircuitSet(m, n, cs.circuits[r:] + cs.circuits[:r])
+            assert cd_at_most(O, F, want, circuits=rotated), r
+            if want:
+                assert not cd_at_most(O, F, want - 1, circuits=rotated), r
