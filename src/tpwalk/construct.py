@@ -39,8 +39,8 @@ from .core import (
     Walk,
     apply_circuit,
     as_matrix,
+    _dot,
     edge_distance,
-    objective,
     support_graph,
 )
 from .circuits import max_step
@@ -472,7 +472,7 @@ def monotone_walk_2xn_report(O: Assignment, s) -> tuple[Walk, MarkTrace]:
         return want
 
     walk, trace = _marking_walk_2xn(O, F, choose=choose)
-    values = [objective(s, p) for p in walk.points]
+    values = [_dot(s, p) for p in walk.points]
     for idx in range(len(values) - 1):
         if values[idx] > values[idx + 1]:
             raise UnreachableCaseError(f"objective dropped at step {idx}")

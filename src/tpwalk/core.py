@@ -10,7 +10,7 @@ at the serialization boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 Edge = tuple[int, int]
@@ -80,11 +80,15 @@ def zero_matrix(m: int, n: int) -> Matrix:
 class Instance:
     """Margins of a transportation problem: supplies u, demands v.
 
-    Entries must be strictly positive and balance exactly.
+    Entries must be strictly positive and balance exactly. The vertex
+    set is enumerated at most once per object and held in _derived while
+    the object lives; equal instances compare and hash equal regardless.
     """
 
     u: tuple[Fraction, ...]
     v: tuple[Fraction, ...]
+    _derived: dict = field(default_factory=dict, init=False, compare=False,
+                           repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "u", tuple(parse_rational(x) for x in self.u))
@@ -304,6 +308,9 @@ def objective(s, y) -> Fraction:
     s, y = as_matrix(s), as_matrix(y)
     if len(s) != len(y) or len(s[0]) != len(y[0]):
         raise TransportError("shape mismatch")
-    return sum(
-        s[i][j] * y[i][j] for i in range(len(s)) for j in range(len(s[0]))
-    )
+    return _dot(s, y)
+
+
+def _dot(s: Matrix, y: Matrix) -> Fraction:
+    """The body of objective, for normalized matrices of equal shape."""
+    return sum(a * b for srow, yrow in zip(s, y) for a, b in zip(srow, yrow))

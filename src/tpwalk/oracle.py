@@ -3,8 +3,11 @@
 Three notions, three engines. Skeleton distance enumerates every vertex
 by spanning-tree search, builds the whole neighbor graph (one insertion
 pivot per absent edge when the instance is non-degenerate, pairwise
-adjacency tests otherwise) and runs BFS on it. The maximal-step distance
-runs BFS over exact flow states. The unrestricted circuit distance
+adjacency tests otherwise) and runs BFS on it. The vertex set is
+computed once per Instance object and the graph once per vertex set;
+both are held while the instance lives, so each further distance is one
+BFS. Equal but distinct Instance objects share nothing. The maximal-step
+distance runs BFS over exact flow states. The unrestricted circuit distance
 reduces to linear algebra: a difference vector is reachable in k
 unrestricted steps iff it lies in the span of at most k circuits, since
 orientations absorb signs and zero coefficients shrink the set. The span
@@ -65,8 +68,21 @@ def neighbor_graph(verts: VertexSet) -> list[list[int]]:
     """Adjacency lists over vertex indices.
 
     Non-degenerate: one pivot per absent edge gives all neighbors.
-    Degenerate: fall back to pairwise unique-cycle tests.
+    Degenerate: fall back to pairwise unique-cycle tests. The graph is
+    built once per vertex set; each call returns fresh lists.
     """
+    return [list(row) for row in _adjacency(verts)]
+
+
+def _adjacency(verts: VertexSet) -> tuple[tuple[int, ...], ...]:
+    """The neighbor graph held by verts, built and checked on first use."""
+    adj = verts._derived.get("graph")
+    if adj is None:
+        adj = verts._derived["graph"] = _build_graph(verts)
+    return adj
+
+
+def _build_graph(verts: VertexSet) -> tuple[tuple[int, ...], ...]:
     if is_nondegenerate(verts.inst):
         out = []
         for a in verts:
@@ -78,15 +94,17 @@ def neighbor_graph(verts: VertexSet) -> list[list[int]]:
                     )
                 row.append(verts.index_of(piv.result))
             out.append(sorted(set(row)))
-        return out
-    size = len(verts)
-    out = [[] for _ in range(size)]
-    for a in range(size):
-        for b in range(a + 1, size):
-            if are_adjacent(verts[a], verts[b]):
-                out[a].append(b)
-                out[b].append(a)
-    return out
+    else:
+        size = len(verts)
+        out = [[] for _ in range(size)]
+        for a in range(size):
+            for b in range(a + 1, size):
+                if are_adjacent(verts[a], verts[b]):
+                    out[a].append(b)
+                    out[b].append(a)
+    if any(d < 0 for d in _bfs(out, 0)):
+        raise UnreachableCaseError("vertex graph is disconnected")
+    return tuple(tuple(row) for row in out)
 
 
 def _bfs(adj: list[list[int]], source: int) -> list[int]:
@@ -109,23 +127,16 @@ def graph_distance(O: Assignment, F: Assignment, cap_trees: int = 10**7) -> int:
     if O.inst != F.inst:
         raise TransportError("graph distance needs a common instance")
     verts = enumerate_vertices(O.inst, cap_trees=cap_trees)
-    adj = neighbor_graph(verts)
-    dist = _bfs(adj, verts.index_of(O))
-    d = dist[verts.index_of(F)]
-    if d < 0:
-        raise UnreachableCaseError("vertex graph is disconnected")
-    return d
+    return _bfs(_adjacency(verts), verts.index_of(O))[verts.index_of(F)]
 
 
 def graph_distance_table(inst: Instance, cap_trees: int = 10**7) -> DistanceTable:
     """All-pairs skeleton distances (a <= b only; the metric is symmetric)."""
     verts = enumerate_vertices(inst, cap_trees=cap_trees)
-    adj = neighbor_graph(verts)
+    adj = _adjacency(verts)
     rows = []
     for a in range(len(verts)):
         dist = _bfs(adj, a)
-        if any(d < 0 for d in dist):
-            raise UnreachableCaseError("vertex graph is disconnected")
         rows.extend((a, b, dist[b]) for b in range(a, len(verts)))
     return DistanceTable("CD_e", verts, tuple(rows))
 

@@ -104,11 +104,17 @@ def _solve_tree(inst: Instance, edges) -> Matrix | None:
 
 @dataclass(frozen=True)
 class VertexSet:
-    """All vertices of an instance, sorted by flow matrix."""
+    """All vertices of an instance, sorted by flow matrix.
+
+    Results derived from the whole set (critical edges, the neighbor
+    graph) are computed on first use and held in _derived.
+    """
 
     inst: Instance
     vertices: tuple[Assignment, ...]
     _index: dict = field(default_factory=dict, compare=False, repr=False)
+    _derived: dict = field(default_factory=dict, init=False, compare=False,
+                           repr=False)
 
     def __post_init__(self):
         self._index.update(
@@ -142,11 +148,17 @@ def enumerate_vertices(inst: Instance, cap_trees: int = 10**7) -> VertexSet:
     each, keeps the nonnegative ones and dedups by flow matrix. Every
     vertex has a spanning-tree basis, so degenerate vertices are found
     too; they simply repeat across trees.
+
+    The search runs once per Instance object; later calls return the
+    same VertexSet, after the cap check.
     """
     m, n = inst.m, inst.n
     total = tree_count(m, n)
     if total > cap_trees:
         raise ResourceLimitError(f"{total} spanning trees exceeds cap {cap_trees}")
+    known = inst._derived.get("vertices")
+    if known is not None:
+        return known
     edges = [(i, j) for i in range(m) for j in range(n)]
     need = m + n - 1
     found: dict[Matrix, Assignment] = {}
@@ -171,7 +183,8 @@ def enumerate_vertices(inst: Instance, cap_trees: int = 10**7) -> VertexSet:
 
     rec(0, [], list(range(m + n)))
     ordered = sorted(found.values(), key=lambda a: a.flows)
-    return VertexSet(inst, tuple(ordered))
+    verts = inst._derived["vertices"] = VertexSet(inst, tuple(ordered))
+    return verts
 
 
 def _require_vertex(a: Assignment, name: str):
@@ -281,10 +294,12 @@ def critical_edges(inst: Instance, cap_trees: int = 10**7) -> frozenset[Edge]:
     vertices, so this equals "positive everywhere on the polytope".
     """
     verts = enumerate_vertices(inst, cap_trees=cap_trees)
-    out = verts[0].support
-    for a in verts:
-        out = out & a.support
-    return frozenset(out)
+    if "critical" not in verts._derived:
+        out = verts[0].support
+        for a in verts:
+            out = out & a.support
+        verts._derived["critical"] = frozenset(out)
+    return verts._derived["critical"]
 
 
 def hirsch_data(inst: Instance, cap_trees: int = 10**7) -> HirschData:

@@ -18,9 +18,10 @@ from .core import (
     TransportError,
     Walk,
     apply_circuit,
-    objective,
+    as_matrix,
     support_graph,
     _cycle_count,
+    _dot,
 )
 from .circuits import max_step
 from .polytope import are_adjacent
@@ -129,5 +130,9 @@ def validate_walk(w: Walk, inst: Instance) -> WalkReport:
 
 def is_monotone(w: Walk, s) -> bool:
     """True iff the objective s never decreases along the walk's points."""
-    values = [objective(s, p) for p in w.points]
+    s = as_matrix(s)
+    start = w.points[0]
+    if len(s) != len(start) or len(s[0]) != len(start[0]):
+        raise TransportError("shape mismatch")
+    values = [_dot(s, p) for p in w.points]
     return all(a <= b for a, b in zip(values, values[1:]))

@@ -7,7 +7,13 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from tpwalk import Walk, apply_circuit, cli
+from tpwalk import (
+    ResourceLimitError,
+    UnreachableCaseError,
+    Walk,
+    apply_circuit,
+    cli,
+)
 
 
 def run(args):
@@ -195,6 +201,21 @@ def test_conflicting_sources_fail():
                       "--kind", "cde"])
     assert rc == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("exc,code", [
+    (UnreachableCaseError("invariant broke"), 3),
+    (ResourceLimitError("cap hit"), 2),
+])
+def test_failure_classes_exit_codes(monkeypatch, exc, code):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "gen", fail)
+    rc, out, err = run(["gen", "--gen", "example1"])
+    assert (rc, out) == (code, "")
+    assert str(exc) in err
+    assert ("report" in err) == (code == 3)
 
 
 def test_module_entry_point():

@@ -81,6 +81,46 @@ def test_distance_table_matches_pointwise(case):
     assert table.diameter == 3
 
 
+def test_vertex_set_is_enumerated_once_per_object(case):
+    verts = enumerate_vertices(case.inst)
+    assert enumerate_vertices(case.inst) is verts
+    fresh = Instance(case.inst.u, case.inst.v)
+    assert fresh == case.inst and hash(fresh) == hash(case.inst)
+    assert enumerate_vertices(fresh) is not verts
+    assert enumerate_vertices(fresh) == verts
+    # The cap is checked before the stored set is consulted.
+    with pytest.raises(ResourceLimitError):
+        enumerate_vertices(case.inst, cap_trees=2)
+    with pytest.raises(ResourceLimitError):
+        graph_distance(case.O, case.F, cap_trees=2)
+
+
+def test_neighbor_graph_returns_fresh_lists(case):
+    verts = enumerate_vertices(case.inst)
+    before = graph_distance(case.O, case.F)
+    adj = neighbor_graph(verts)
+    for row in adj:
+        row.clear()
+    adj.append([0])
+    assert graph_distance(case.O, case.F) == before == 3
+    assert all(len(row) == 2 for row in neighbor_graph(verts))
+
+
+@pytest.mark.parametrize("u,v", [((3, 3), (2, 2, 2)), ((1, 3, 4), (2, 3, 3))])
+def test_stored_graph_matches_fresh_table(u, v):
+    inst = Instance(u, v)
+    verts = enumerate_vertices(inst)
+    pointwise = {
+        (a, b): graph_distance(verts[a], verts[b])
+        for a in range(len(verts)) for b in range(len(verts))
+    }
+    fresh = Instance(u, v)
+    table = graph_distance_table(fresh)
+    assert table.verts == verts
+    assert all(table.distance(a, b) == d for (a, b), d in pointwise.items())
+    assert max(pointwise.values()) == table.diameter == 3
+
+
 def test_neighbor_graph_degrees(case):
     verts = enumerate_vertices(case.inst)
     adj = neighbor_graph(verts)

@@ -92,3 +92,7 @@ def test_is_monotone(case):
     assert is_monotone(w, s)
     flipped = [[0, -1, -2], [-2, -1, 0]]
     assert not is_monotone(w, flipped)
+    with pytest.raises(TransportError, match="refusing float"):
+        is_monotone(w, [[0.5, 1, 2], [2, 1, 0]])
+    with pytest.raises(TransportError, match="shape mismatch"):
+        is_monotone(w, [[0, 1], [2, 1]])
