@@ -81,8 +81,10 @@ class Instance:
     """Margins of a transportation problem: supplies u, demands v.
 
     Entries must be strictly positive and balance exactly. The vertex
-    set is enumerated at most once per object and held in _derived while
-    the object lives; equal instances compare and hash equal regardless.
+    set and its neighbor graph are computed at most once per object and
+    held in _derived; they point back at the object, so the cycle
+    collector frees them. Equal instances compare and hash equal
+    regardless.
     """
 
     u: tuple[Fraction, ...]

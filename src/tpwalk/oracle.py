@@ -3,10 +3,10 @@
 Three notions, three engines. Skeleton distance enumerates every vertex
 by spanning-tree search, builds the whole neighbor graph (one insertion
 pivot per absent edge when the instance is non-degenerate, pairwise
-adjacency tests otherwise) and runs BFS on it. The vertex set is
-computed once per Instance object and the graph once per vertex set;
-both are held while the instance lives, so each further distance is one
-BFS. Equal but distinct Instance objects share nothing. The maximal-step
+adjacency tests otherwise) and runs BFS on it. The vertex set and the
+graph are computed once per Instance object and held by it (freed with
+it by the cycle collector), so each further distance is one BFS. Equal
+but distinct Instance objects share nothing. The maximal-step
 distance runs BFS over exact flow states. The unrestricted circuit distance
 reduces to linear algebra: a difference vector is reachable in k
 unrestricted steps iff it lies in the span of at most k circuits, since
@@ -68,18 +68,21 @@ def neighbor_graph(verts: VertexSet) -> list[list[int]]:
     """Adjacency lists over vertex indices.
 
     Non-degenerate: one pivot per absent edge gives all neighbors.
-    Degenerate: fall back to pairwise unique-cycle tests. The graph is
-    built once per vertex set; each call returns fresh lists.
+    Degenerate: fall back to pairwise unique-cycle tests. The graph of an
+    instance's enumerated vertex set is built once; each call returns
+    fresh lists.
     """
     return [list(row) for row in _adjacency(verts)]
 
 
 def _adjacency(verts: VertexSet) -> tuple[tuple[int, ...], ...]:
-    """The neighbor graph held by verts, built and checked on first use."""
-    adj = verts._derived.get("graph")
-    if adj is None:
-        adj = verts._derived["graph"] = _build_graph(verts)
-    return adj
+    """The neighbor graph, held by the instance beside its vertex set."""
+    held = verts.inst._derived
+    if held.get("vertices") is not verts:
+        return _build_graph(verts)
+    if "graph" not in held:
+        held["graph"] = _build_graph(verts)
+    return held["graph"]
 
 
 def _build_graph(verts: VertexSet) -> tuple[tuple[int, ...], ...]:

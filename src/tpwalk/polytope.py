@@ -104,17 +104,11 @@ def _solve_tree(inst: Instance, edges) -> Matrix | None:
 
 @dataclass(frozen=True)
 class VertexSet:
-    """All vertices of an instance, sorted by flow matrix.
-
-    Results derived from the whole set (critical edges, the neighbor
-    graph) are computed on first use and held in _derived.
-    """
+    """All vertices of an instance, sorted by flow matrix."""
 
     inst: Instance
     vertices: tuple[Assignment, ...]
     _index: dict = field(default_factory=dict, compare=False, repr=False)
-    _derived: dict = field(default_factory=dict, init=False, compare=False,
-                           repr=False)
 
     def __post_init__(self):
         self._index.update(
@@ -294,12 +288,10 @@ def critical_edges(inst: Instance, cap_trees: int = 10**7) -> frozenset[Edge]:
     vertices, so this equals "positive everywhere on the polytope".
     """
     verts = enumerate_vertices(inst, cap_trees=cap_trees)
-    if "critical" not in verts._derived:
-        out = verts[0].support
-        for a in verts:
-            out = out & a.support
-        verts._derived["critical"] = frozenset(out)
-    return verts._derived["critical"]
+    out = verts[0].support
+    for a in verts:
+        out = out & a.support
+    return frozenset(out)
 
 
 def hirsch_data(inst: Instance, cap_trees: int = 10**7) -> HirschData:

@@ -18,10 +18,9 @@ from .core import (
     TransportError,
     Walk,
     apply_circuit,
-    as_matrix,
+    objective,
     support_graph,
     _cycle_count,
-    _dot,
 )
 from .circuits import max_step
 from .polytope import are_adjacent
@@ -130,9 +129,5 @@ def validate_walk(w: Walk, inst: Instance) -> WalkReport:
 
 def is_monotone(w: Walk, s) -> bool:
     """True iff the objective s never decreases along the walk's points."""
-    s = as_matrix(s)
-    start = w.points[0]
-    if len(s) != len(start) or len(s[0]) != len(start[0]):
-        raise TransportError("shape mismatch")
-    values = [_dot(s, p) for p in w.points]
+    values = [objective(s, p) for p in w.points]
     return all(a <= b for a, b in zip(values, values[1:]))

@@ -193,8 +193,12 @@ def test_edge_walk_3xn_random(seed):
     walk, trace = edge_walk_3xn_report(verts[a], verts[b])
     assert validate_walk(walk, inst).valid
     assert walk.length <= n + 2 - k
-    # The 3xn bound is the Hirsch bound m + n - 1 - k, so unlike 2xn a
-    # walk may need no free mark (seeds 326 and 488: k = 0, length n + 2).
+    # The 3xn bound is the Hirsch bound m + n - 1 - k: each of the n + 2
+    # target edges is marked once, and at least the k critical ones for
+    # free. Unlike 2xn a walk may need no free mark (seeds 326 and 488:
+    # k = 0, length n + 2).
+    assert len(trace.marks) == n + 2
+    assert trace.free_marks >= k
     assert walk.length == len(trace.marks) - trace.free_marks
 
 

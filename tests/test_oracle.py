@@ -9,6 +9,7 @@ from tpwalk import (
     Instance,
     ResourceLimitError,
     TransportError,
+    VertexSet,
     cd_at_most,
     cd_minimum,
     cdfm_distance,
@@ -104,6 +105,17 @@ def test_neighbor_graph_returns_fresh_lists(case):
     adj.append([0])
     assert graph_distance(case.O, case.F) == before == 3
     assert all(len(row) == 2 for row in neighbor_graph(verts))
+
+
+def test_hand_built_vertex_set_gets_its_own_graph():
+    inst = Instance((1, 3, 4), (2, 3, 3))
+    verts = enumerate_vertices(inst)
+    full = neighbor_graph(verts)
+    star = VertexSet(inst, tuple(verts[i] for i in [0, *full[0]]))
+    adj = neighbor_graph(star)
+    assert len(adj) == len(star) < len(verts)
+    assert adj[0] == list(range(1, len(star)))
+    assert neighbor_graph(verts) == full
 
 
 @pytest.mark.parametrize("u,v", [((3, 3), (2, 2, 2)), ((1, 3, 4), (2, 3, 3))])
