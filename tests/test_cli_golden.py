@@ -19,9 +19,13 @@ import pytest
 
 from tpwalk import cli
 
-GOLDEN = Path(__file__).with_name("golden") / "cli.json"
+HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "golden" / "cli.json"
 
 EX1 = ["--gen", "example1"]
+# Input files are named relative to this directory, so the stored argv is
+# the same on every machine; run() resolves them.
+CASE_3X3 = "golden/marking3x3.json"
 COMMANDS = {
     "gen-example1": ["gen", *EX1],
     "vertices-example1": ["vertices", *EX1],
@@ -31,6 +35,7 @@ COMMANDS = {
     "walk-edge2n": ["walk", *EX1, "--kind", "edge2n"],
     "walk-monotone2n": ["walk", *EX1, "--kind", "monotone2n"],
     "walk-signcompat": ["walk", *EX1, "--kind", "signcompat"],
+    "walk-edge3n": ["walk", "--in", CASE_3X3, "--kind", "edge3n"],
     "oracle-cde": ["oracle", *EX1, "--kind", "cde"],
     "oracle-cdfm": ["oracle", *EX1, "--kind", "cdfm"],
     "oracle-cd": ["oracle", *EX1, "--kind", "cd"],
@@ -49,6 +54,7 @@ COMMANDS = {
 
 
 def run(argv):
+    argv = [str(HERE / a) if a.startswith("golden/") else a for a in argv]
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
         rc = cli.main(argv)

@@ -6,7 +6,9 @@ from tpwalk import (
     Circuit,
     TransportError,
     Walk,
+    WalkReport,
     apply_circuit,
+    as_matrix,
     cdfm_walk_2xn,
     edge_walk_2xn,
     gen_example1,
@@ -96,3 +98,61 @@ def test_is_monotone(case):
         is_monotone(w, [[0.5, 1, 2], [2, 1, 0]])
     with pytest.raises(TransportError, match="shape mismatch"):
         is_monotone(w, [[0, 1], [2, 1]])
+
+
+# One invalid walk per violation class the validator can report, on
+# example1 (O = [[2,1,0],[0,1,2]], F = [[0,1,2],[2,1,0]]). OF moves O to F
+# in one step; CYC moves F to the cyclic point Y = [[1,1,1],[1,1,1]].
+OF = Circuit((0, 1), (2, 0))
+CYC = Circuit((0, 1), (0, 2))
+UP = Circuit((0, 1), (1, 0))  # raises (0,1), lowers (1,1)
+DOWN = Circuit((1, 0), (1, 2))  # lowers (0,1), raises (1,1)
+Y = [[1, 1, 1], [1, 1, 1]]
+
+
+def _table_walk(c, kind, steps, start=None):
+    points = [c.O.flows if start is None else start]
+    for g, a in steps:
+        points.append(apply_circuit(as_matrix(points[-1]), g, Fraction(a)))
+    return Walk(kind, tuple(points), tuple((g, Fraction(a)) for g, a in steps))
+
+
+VIOLATIONS = {
+    "not m x n": (
+        lambda c: Walk("CD", ([[1, 1], [1, 1]],), ()),
+        (0, "point 0 is not 2x3")),
+    "margins": (
+        lambda c: Walk("CD", ([[2, 1, 0], [0, 1, 1]],), ()),
+        (0, "point 0 violates the margins")),
+    "start not a vertex": (
+        lambda c: _table_walk(c, "CD", [(-CYC, 1)], start=Y),
+        (0, "start point is not a vertex")),
+    "end not a vertex": (
+        lambda c: _table_walk(c, "CD", [(OF, 2), (CYC, 1)]),
+        (1, "end point is not a vertex")),
+    "infeasible": (
+        lambda c: _table_walk(c, "CD_f", [(OF, 3), (-OF, 1)]),
+        (0, "point 1 is infeasible")),
+    "not maximal": (
+        lambda c: _table_walk(c, "CD_fm", [(OF, 1), (OF, 1)]),
+        (0, "step 0 length 1 is not maximal (2)")),
+    "CD_e point not a vertex": (
+        lambda c: _table_walk(c, "CD_e", [(-CYC, 1), (-CYC, 1)]),
+        (0, "point 1 is not a vertex")),
+    "CD_e non-adjacent": (
+        lambda c: _table_walk(c, "CD_e", [(OF, 2)]),
+        (0, "step 0 jumps between non-adjacent vertices")),
+    "CD_s opposes": (
+        lambda c: _table_walk(c, "CD_s", [(OF, 2), (CYC, 1), (-CYC, 1)]),
+        (1, "step 1 opposes the endpoint difference")),
+    "CD_s not sign-compatible": (
+        lambda c: _table_walk(c, "CD_s", [(UP, 1), (DOWN, 2), (UP, 1)]),
+        (1, "steps 0 and 1 are not sign-compatible")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VIOLATIONS))
+def test_violation_classes(case, name):
+    build, violation = VIOLATIONS[name]
+    walk = build(case)
+    assert validate_walk(walk, case.inst) == WalkReport(False, walk.kind, violation)
