@@ -276,10 +276,7 @@ def _cmd_walk(args) -> int:
         walk, _ = edge_walk_3xn_report(O, F)
         bound = inst.n + 2 - len(critical_edges(inst, args.cap_trees))
     elif kind == "monotone2n":
-        cost = (
-            [[parse_rational(x) for x in row] for row in _read_json(args.cost)]
-            if args.cost else _default_cost(inst)
-        )
+        cost = _read_json(args.cost) if args.cost else _default_cost(inst)
         walk, _ = monotone_walk_2xn_report(O, cost)
         bound = inst.n
     elif kind == "signcompat":

@@ -199,12 +199,13 @@ def mark_pivot(state: MarkState, i: int) -> tuple[PivotChoice | None, MarkState]
         raise DegenerateError("marking rounds need a non-degenerate instance")
     if not (0 <= i < inst.m):
         raise TransportError(f"no supply {i}")
-    return _mark_round(state, i)
+    return _mark_round(state, i, MarkTrace())
 
 
-def _mark_round(state: MarkState, i: int) -> tuple[PivotChoice | None, MarkState]:
+def _mark_round(state: MarkState, i: int, trace: MarkTrace
+                ) -> tuple[PivotChoice | None, MarkState]:
     """The round body of mark_pivot, for walks that checked the instance
-    once at entry."""
+    once at entry. Counts each round that reaches _step4 in the trace."""
     if not _mixed_parity_ok(state, i):
         raise HypothesisError(
             f"marked mixed edges not all at even positions from supply {i}"
@@ -228,6 +229,7 @@ def _mark_round(state: MarkState, i: int) -> tuple[PivotChoice | None, MarkState
     if len(missing) == 1:
         return _pivot_mark(state, missing[0])
     if len(missing) == 2:
+        trace.step4_hits += 1
         return _step4(state, i, missing)
     raise UnreachableCaseError(f"nothing left to mark at supply {i}")
 
@@ -305,25 +307,22 @@ def _check_walk_done(state: MarkState):
         raise UnreachableCaseError("all edges marked but target not reached")
 
 
-def _edge_walk_2xn(O: Assignment, F: Assignment) -> tuple[Walk, MarkTrace]:
-    inst = O.inst
-    if inst.m != 2:
-        raise TransportError("this walk needs exactly 2 supplies")
+def _check_endpoints(O: Assignment, F: Assignment, m: int):
+    """The entry check of every construction: m supplies, one common
+    instance, and both endpoints vertices."""
+    if O.inst.m != m:
+        raise TransportError(f"this walk needs exactly {m} supplies")
     if O.inst != F.inst:
         raise TransportError("walk endpoints need a common instance")
-    if not is_nondegenerate(inst):
-        raise DegenerateError("edge walks need a non-degenerate instance")
-    return _marking_walk_2xn(O, F)
-
-
-def _marking_walk_2xn(O: Assignment, F: Assignment, choose=None
-                      ) -> tuple[Walk, MarkTrace]:
-    """The walk body of _edge_walk_2xn, for callers that checked the
-    instance once at entry."""
     for a, name in ((O, "start"), (F, "target")):
         if not a.is_vertex():
             raise TransportError(f"{name} is not a vertex")
 
+
+def _marking_walk_2xn(O: Assignment, F: Assignment, choose=None
+                      ) -> tuple[Walk, MarkTrace]:
+    """The walk body of edge_walk_2xn_report, for callers that checked
+    the endpoints and the instance once at entry."""
     state = MarkState(O, frozenset(), F)
     trace = MarkTrace()
     points = [O.flows]
@@ -360,7 +359,7 @@ def _marking_walk_2xn(O: Assignment, F: Assignment, choose=None
         if i not in cands:
             raise UnreachableCaseError(f"override chose supply {i} outside {cands}")
         before = state
-        choice, state = _mark_round(state, i)
+        choice, state = _mark_round(state, i, trace)
         _record(trace, before, state, choice, f"round at supply {i}")
         if choice is not None:
             points.append(state.current.flows)
@@ -383,12 +382,15 @@ def _marking_walk_2xn(O: Assignment, F: Assignment, choose=None
 
 def edge_walk_2xn(O: Assignment, F: Assignment) -> Walk:
     """Edge walk between 2xn vertices, length at most min(n, n+1-k)."""
-    return _edge_walk_2xn(O, F)[0]
+    return edge_walk_2xn_report(O, F)[0]
 
 
 def edge_walk_2xn_report(O: Assignment, F: Assignment) -> tuple[Walk, MarkTrace]:
     """Same walk plus the marking trace (free marks, cases, protections)."""
-    return _edge_walk_2xn(O, F)
+    _check_endpoints(O, F, 2)
+    if not is_nondegenerate(O.inst):
+        raise DegenerateError("edge walks need a non-degenerate instance")
+    return _marking_walk_2xn(O, F)
 
 
 # ------------------------------------------------- monotone 2xn variant
@@ -462,6 +464,7 @@ def monotone_walk_2xn_report(O: Assignment, s) -> tuple[Walk, MarkTrace]:
     s = as_matrix(s)
     _check_greedy(inst, s)
     F = _lp_optimum_2xn(inst, s)
+    _check_endpoints(O, F, 2)
     pos = {col: p for p, col in enumerate(_greedy_order(s))}
     target_mixed = _mixed_pair_2xn(F.support)
 
@@ -500,7 +503,11 @@ def _mixed_path_3xn(sup) -> tuple[int, int, int, int, int]:
 
 
 def _case_2b(state: MarkState, s1, d1, s2, s3, d2) -> tuple[PivotChoice | None, MarkState]:
-    """Marked: (s1,d1), (s2,d1). The far half of the path is unmarked."""
+    """Marked: (s1,d1), (s2,d1). The far half of the path is unmarked.
+
+    _case_3b hands over here when (s3,d2) is marked too and d2 is mixed
+    in the target: the far demand is then settled the same way.
+    """
     sup_f = state.target.support
     if _demand_degree(sup_f).get(d2, 0) == 1:
         if (s3, d2) not in sup_f:
@@ -553,16 +560,7 @@ def _case_3b(state: MarkState, s1, d1, s2, s3, d2) -> tuple[PivotChoice | None, 
     sup_o = state.current.support
     deg_f = _demand_degree(sup_f)
     if deg_f.get(d2, 0) >= 2:
-        if (s2, d2) in sup_f:
-            return _mark_only(state, (s2, d2))
-        if (s1, d2) not in sup_f:
-            raise UnreachableCaseError("mixed far demand lacks its two target edges")
-        choice, nxt = _pivot_mark(state, (s1, d2))
-        if choice.deleted != (s2, d2):
-            raise UnreachableCaseError(
-                f"insertion of ({s1},{d2}) deleted {choice.deleted}"
-            )
-        return choice, nxt
+        return _case_2b(state, s1, d1, s2, s3, d2)
     # d2 is a leaf in the target: hand the round to the demand that is
     # mixed there. It hangs off s3 in the current support.
     cands = [
@@ -580,26 +578,6 @@ def _case_3b(state: MarkState, s1, d1, s2, s3, d2) -> tuple[PivotChoice | None, 
     return _pivot_mark(state, (others[0], d3))
 
 
-def _would_run_double_insertion(state: MarkState, i: int) -> bool:
-    """Whether a round at supply i reaches the two-missing-edges analysis."""
-    sup_f = state.target.support
-    sup_o = state.current.support
-    if any(e not in state.marked for e in _f_leaf_edges(sup_f, i)):
-        return False
-    deg_f = _demand_degree(sup_f)
-    own_mixed = [e for e in sup_f if e[0] == i and deg_f[e[1]] >= 2]
-    if any(e in sup_o and e not in state.marked for e in own_mixed):
-        return False
-    return sum(1 for e in own_mixed if e not in sup_o) == 2
-
-
-def _marklem_round(state: MarkState, i: int, trace: MarkTrace
-                   ) -> tuple[PivotChoice | None, MarkState]:
-    if _would_run_double_insertion(state, i):
-        trace.step4_hits += 1
-    return _mark_round(state, i)
-
-
 def _dispatch_3xn(state: MarkState, prev: str, trace: MarkTrace
                   ) -> tuple[PivotChoice | None, MarkState, str]:
     sup = state.current.support
@@ -610,7 +588,7 @@ def _dispatch_3xn(state: MarkState, prev: str, trace: MarkTrace
         cands = [a for a in range(3) if (a, delta) not in state.marked]
         if not cands:
             raise UnreachableCaseError("full star marked before completion")
-        choice, nxt = _marklem_round(state, cands[0], trace)
+        choice, nxt = _mark_round(state, cands[0], trace)
         return choice, nxt, f"star round at supply {cands[0]}"
 
     end_a, d_a, mid, d_b, end_b = _mixed_path_3xn(sup)
@@ -647,7 +625,7 @@ def _dispatch_3xn(state: MarkState, prev: str, trace: MarkTrace
         return choice, nxt, "three marks, middle open"
 
     if pattern == (1, 4):
-        choice, nxt = _marklem_round(state, mid, trace)
+        choice, nxt = _mark_round(state, mid, trace)
         return choice, nxt, f"path round at middle supply {mid}"
     ok = []
     if all(p % 2 == 0 for p in pattern):
@@ -656,7 +634,7 @@ def _dispatch_3xn(state: MarkState, prev: str, trace: MarkTrace
         ok.append(end_b)
     if not ok:
         raise UnreachableCaseError(f"no path end fits pattern {pattern}")
-    choice, nxt = _marklem_round(state, min(ok), trace)
+    choice, nxt = _mark_round(state, min(ok), trace)
     return choice, nxt, f"path round at end supply {min(ok)}"
 
 
@@ -666,16 +644,9 @@ def edge_walk_3xn(O: Assignment, F: Assignment) -> Walk:
 
 
 def edge_walk_3xn_report(O: Assignment, F: Assignment) -> tuple[Walk, MarkTrace]:
-    inst = O.inst
-    if inst.m != 3:
-        raise TransportError("this walk needs exactly 3 supplies")
-    if O.inst != F.inst:
-        raise TransportError("walk endpoints need a common instance")
-    if not is_nondegenerate(inst):
+    _check_endpoints(O, F, 3)
+    if not is_nondegenerate(O.inst):
         raise DegenerateError("edge walks need a non-degenerate instance")
-    for a, name in ((O, "start"), (F, "target")):
-        if not a.is_vertex():
-            raise TransportError(f"{name} is not a vertex")
 
     state = MarkState(O, frozenset(), F)
     trace = MarkTrace()
@@ -710,15 +681,8 @@ def cdfm_walk_2xn(O: Assignment, F: Assignment) -> Walk:
     target edges, so at most |O \\ F| steps happen, one less when the
     target support has only n edges.
     """
+    _check_endpoints(O, F, 2)
     inst = O.inst
-    if inst.m != 2:
-        raise TransportError("this walk needs exactly 2 supplies")
-    if O.inst != F.inst:
-        raise TransportError("walk endpoints need a common instance")
-    for a, name in ((O, "start"), (F, "target")):
-        if not a.is_vertex():
-            raise TransportError(f"{name} is not a vertex")
-
     budget = edge_distance(O, F)
     sup_f = F.support
     cur = O.flows

@@ -66,7 +66,10 @@ def format_rational(q: Fraction) -> str:
 
 def as_matrix(rows) -> Matrix:
     """Normalize a nested iterable of rational-likes to a tuple matrix."""
-    mat = tuple(tuple(parse_rational(x) for x in row) for row in rows)
+    try:
+        mat = tuple(tuple(parse_rational(x) for x in row) for row in rows)
+    except TypeError:
+        raise TransportError(f"cannot read a matrix from {rows!r}") from None
     if not mat or any(len(row) != len(mat[0]) for row in mat):
         raise TransportError("matrix rows must be nonempty and equal length")
     return mat
@@ -93,8 +96,11 @@ class Instance:
                            repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "u", tuple(parse_rational(x) for x in self.u))
-        object.__setattr__(self, "v", tuple(parse_rational(x) for x in self.v))
+        try:
+            object.__setattr__(self, "u", tuple(parse_rational(x) for x in self.u))
+            object.__setattr__(self, "v", tuple(parse_rational(x) for x in self.v))
+        except TypeError:
+            raise TransportError("margins must be lists of rationals") from None
         if len(self.u) < 2 or len(self.v) < 2:
             raise TransportError("need at least 2 supplies and 2 demands")
         if any(x <= 0 for x in self.u + self.v):
@@ -149,12 +155,13 @@ def _cycle_count(edges, m: int, n: int) -> int:
 class Assignment:
     """A feasible point together with its instance.
 
-    The support is always derived from the flows; it is never stored, so
-    flows and support cannot drift apart.
+    The support is derived from the flows once, at construction; both are
+    frozen, so they cannot drift apart.
     """
 
     inst: Instance
     flows: Matrix
+    support: frozenset[Edge] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "flows", as_matrix(self.flows))
@@ -172,10 +179,7 @@ class Assignment:
             col = sum(self.flows[i][j] for i in range(m))
             if col != self.inst.v[j]:
                 raise TransportError(f"column {j} sums to {col}, want {self.inst.v[j]}")
-
-    @property
-    def support(self) -> frozenset[Edge]:
-        return support_graph(self.flows)
+        object.__setattr__(self, "support", support_graph(self.flows))
 
     def is_vertex(self) -> bool:
         """A feasible point is a vertex iff its support graph is a forest."""
@@ -190,10 +194,13 @@ class Circuit:
     indices cyclic. Stored in canonical rotation (lexicographically smallest
     pair sequence), so structural equality is orientation-true semantic
     equality. The reverse orientation is a distinct circuit; see __neg__.
+    Its increased and decreased edges are derived once, at construction.
     """
 
     supplies: tuple[int, ...]
     demands: tuple[int, ...]
+    _increased: tuple[Edge, ...] = field(init=False, compare=False, repr=False)
+    _decreased: tuple[Edge, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         s = tuple(int(x) for x in self.supplies)
@@ -209,21 +216,23 @@ class Circuit:
         k = len(s)
         pairs = list(zip(s, d))
         best = min(range(k), key=lambda t: pairs[t:] + pairs[:t])
-        object.__setattr__(self, "supplies", s[best:] + s[:best])
-        object.__setattr__(self, "demands", d[best:] + d[:best])
+        s, d = s[best:] + s[:best], d[best:] + d[:best]
+        object.__setattr__(self, "supplies", s)
+        object.__setattr__(self, "demands", d)
+        object.__setattr__(self, "_increased", tuple(zip(s, d)))
+        object.__setattr__(
+            self, "_decreased", tuple((s[(l + 1) % k], d[l]) for l in range(k))
+        )
 
     @property
     def k(self) -> int:
         return len(self.supplies)
 
     def increased(self) -> tuple[Edge, ...]:
-        return tuple(zip(self.supplies, self.demands))
+        return self._increased
 
     def decreased(self) -> tuple[Edge, ...]:
-        k = self.k
-        return tuple(
-            (self.supplies[(l + 1) % k], self.demands[l]) for l in range(k)
-        )
+        return self._decreased
 
     def edges(self) -> frozenset[Edge]:
         return frozenset(self.increased()) | frozenset(self.decreased())
@@ -253,8 +262,10 @@ class Circuit:
 def apply_circuit(flows: Matrix, g: Circuit, alpha: Fraction) -> Matrix:
     """flows + alpha * g, with no feasibility check."""
     grid = [list(row) for row in flows]
-    for (i, j), sg in g.signs().items():
-        grid[i][j] += sg * alpha
+    for i, j in g.increased():
+        grid[i][j] += alpha
+    for i, j in g.decreased():
+        grid[i][j] -= alpha
     return tuple(tuple(row) for row in grid)
 
 
@@ -283,6 +294,9 @@ class Walk:
         for idx, (g, a) in enumerate(stp):
             if a <= 0:
                 raise TransportError(f"step {idx}: alpha {a} not positive")
+            m, n = len(pts[idx]), len(pts[idx][0])
+            if max(g.supplies) >= m or max(g.demands) >= n:
+                raise TransportError(f"step {idx} circuit leaves the {m}x{n} grid")
             if apply_circuit(pts[idx], g, a) != pts[idx + 1]:
                 raise TransportError(f"step {idx} does not connect its endpoints")
 

@@ -196,6 +196,19 @@ def test_sweep_revalidates_walks(monkeypatch):
     assert row["max_length"] <= row["bound"] and row["pass"] is False
 
 
+@pytest.mark.parametrize("doc,args", [
+    (5, ["--gen", "example1", "--kind", "monotone2n", "--cost", "{}"]),
+    (5, ["--u", "3,3", "--v", "2,2,2", "--kind", "cdfm", "--from", "{}", "--to", "{}"]),
+    ({"u": 5, "v": [2, 2, 2]}, ["--in", "{}", "--kind", "cdfm"]),
+])
+def test_malformed_json_is_a_usage_error(tmp_path, doc, args):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(["walk", *(a.format(path) for a in args)])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error:")
+
+
 def test_conflicting_sources_fail():
     rc, _, err = run(["oracle", "--gen", "example1", "--u", "3,3", "--v", "2,2,2",
                       "--kind", "cde"])

@@ -56,6 +56,10 @@ def test_as_matrix_rejects_ragged():
         as_matrix([[1, 2], [3]])
     with pytest.raises(TransportError):
         as_matrix([])
+    with pytest.raises(TransportError, match="cannot read a matrix"):
+        as_matrix(5)
+    with pytest.raises(TransportError, match="cannot read a matrix"):
+        as_matrix([1, 2])
 
 
 def test_zero_matrix():
@@ -71,6 +75,8 @@ def test_instance_validation():
         Instance((0, 6), (2, 2, 2))
     with pytest.raises(TransportError):
         Instance((-1, 7), (2, 2, 2))
+    with pytest.raises(TransportError, match="lists of rationals"):
+        Instance(5, (2, 2, 2))
 
 
 def test_support_graph():
@@ -84,6 +90,8 @@ def test_assignment_support_and_vertex():
     assert case.O.is_vertex()
     cyclic = Assignment(case.inst, [[1, 1, 1], [1, 1, 1]])
     assert not cyclic.is_vertex()
+    assert case.O.support is case.O.support
+    assert cyclic != case.O and Assignment(case.inst, case.O.flows) == case.O
 
 
 def test_assignment_checks_margins():
@@ -101,6 +109,10 @@ def test_circuit_rotation_normal_form():
     assert set(g.decreased()) == {(0, 0), (1, 1)}
     ng = -g
     assert set(ng.increased()) == {(0, 0), (1, 1)}
+    assert g.decreased() is g.decreased() and g.increased() is g.increased()
+    assert g.signs() is not g.signs()
+    assert hash(Circuit((1, 0), (0, 1))) == hash(g) and repr(g) == (
+        "Circuit(supplies=(0, 1), demands=(1, 0))")
 
 
 def test_circuit_validation():
@@ -147,6 +159,9 @@ def test_walk_rejects_broken_step():
         Walk("CD_fm", (case.O.flows, case.F.flows), ((g, Fraction(1)),))
     with pytest.raises(TransportError):
         Walk("XX", (case.O.flows,), ())
+    off_grid = Circuit((0, 1), (0, 5))
+    with pytest.raises(TransportError, match="step 0 circuit leaves the 2x3 grid"):
+        Walk("CD", (case.O.flows, case.O.flows), ((off_grid, 1),))
 
 
 def test_edge_distance():

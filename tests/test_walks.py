@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from tpwalk import (
+    Assignment,
     Circuit,
     TransportError,
     Walk,
@@ -133,6 +134,11 @@ VIOLATIONS = {
     "infeasible": (
         lambda c: _table_walk(c, "CD_f", [(OF, 3), (-OF, 1)]),
         (0, "point 1 is infeasible")),
+    # A step off a zero-flow edge is not maximal either, but the point it
+    # reaches is infeasible and that is found first, at the same step.
+    "CD_fm step off a zero-flow edge": (
+        lambda c: _table_walk(c, "CD_fm", [(CYC, 1), (-CYC, 1)]),
+        (0, "point 1 is infeasible")),
     "not maximal": (
         lambda c: _table_walk(c, "CD_fm", [(OF, 1), (OF, 1)]),
         (0, "step 0 length 1 is not maximal (2)")),
@@ -156,3 +162,25 @@ def test_violation_classes(case, name):
     build, violation = VIOLATIONS[name]
     walk = build(case)
     assert validate_walk(walk, case.inst) == WalkReport(False, walk.kind, violation)
+
+
+@pytest.mark.parametrize("kind,points,steps,reason", [
+    ("CD", "OO", [(Circuit((0, 1), (0, 5)), 1)], "step 0 circuit leaves the 2x3 grid"),
+    ("CD", "OF", [(OF, 1)], "step 0 does not connect its endpoints"),
+    # Steps that telescope to the endpoint difference are exactly steps
+    # that connect their points, so a CD_s walk whose steps miss the
+    # difference is this walk.
+    ("CD_s", "OOF", [(OF, 1), (OF, 1)], "step 0 does not connect its endpoints"),
+])
+def test_constructor_rejects_broken_steps(case, kind, points, steps, reason):
+    pts = tuple({"O": case.O.flows, "F": case.F.flows}[p] for p in points)
+    with pytest.raises(TransportError, match=reason):
+        Walk(kind, pts, tuple((g, Fraction(a)) for g, a in steps))
+
+
+def test_edge_rules_build_no_assignment(case, monkeypatch):
+    walks = [edge_walk_2xn(case.O, case.F), VIOLATIONS["CD_e non-adjacent"][0](case)]
+    built = []
+    monkeypatch.setattr(Assignment, "__post_init__", lambda self: built.append(self))
+    assert [validate_walk(w, case.inst).valid for w in walks] == [True, False]
+    assert built == []
