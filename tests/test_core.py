@@ -153,6 +153,8 @@ def test_walk_replay_and_length():
 
 
 def test_walk_rejects_broken_step():
+    # validate_walk relies on these: a constructed walk's steps stay on the
+    # grid and telescope to the endpoint difference.
     case = gen_example1()
     g = Circuit((0, 1), (2, 0))
     with pytest.raises(TransportError):

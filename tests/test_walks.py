@@ -9,7 +9,6 @@ from tpwalk import (
     Walk,
     WalkReport,
     apply_circuit,
-    as_matrix,
     cdfm_walk_2xn,
     edge_walk_2xn,
     gen_example1,
@@ -114,7 +113,7 @@ Y = [[1, 1, 1], [1, 1, 1]]
 def _table_walk(c, kind, steps, start=None):
     points = [c.O.flows if start is None else start]
     for g, a in steps:
-        points.append(apply_circuit(as_matrix(points[-1]), g, Fraction(a)))
+        points.append(apply_circuit(points[-1], g, Fraction(a)))
     return Walk(kind, tuple(points), tuple((g, Fraction(a)) for g, a in steps))
 
 
@@ -162,20 +161,6 @@ def test_violation_classes(case, name):
     build, violation = VIOLATIONS[name]
     walk = build(case)
     assert validate_walk(walk, case.inst) == WalkReport(False, walk.kind, violation)
-
-
-@pytest.mark.parametrize("kind,points,steps,reason", [
-    ("CD", "OO", [(Circuit((0, 1), (0, 5)), 1)], "step 0 circuit leaves the 2x3 grid"),
-    ("CD", "OF", [(OF, 1)], "step 0 does not connect its endpoints"),
-    # Steps that telescope to the endpoint difference are exactly steps
-    # that connect their points, so a CD_s walk whose steps miss the
-    # difference is this walk.
-    ("CD_s", "OOF", [(OF, 1), (OF, 1)], "step 0 does not connect its endpoints"),
-])
-def test_constructor_rejects_broken_steps(case, kind, points, steps, reason):
-    pts = tuple({"O": case.O.flows, "F": case.F.flows}[p] for p in points)
-    with pytest.raises(TransportError, match=reason):
-        Walk(kind, pts, tuple((g, Fraction(a)) for g, a in steps))
 
 
 def test_edge_rules_build_no_assignment(case, monkeypatch):
