@@ -121,20 +121,25 @@ def _read_json(path: str):
         return json.load(fh)
 
 
-def _load_instance(args) -> Instance:
+def _load_instance(args) -> tuple[Instance, dict]:
+    """The instance named by exactly one of --in, --gen, --u/--v, and the
+    endpoint flows that source carries under the keys "O" and "F": those
+    of the --in document, or the generated case's two vertices."""
     sources = sum(1 for x in (args.infile, args.gen, args.u) if x)
     if sources != 1:
         raise TransportError("give exactly one of --in, --gen, --u/--v")
-    if args.infile:
-        data = _read_json(args.infile)
-        if "instance" in data:
-            data = data["instance"]
-        return Instance(data["u"], data["v"])
+    if args.gen:
+        case = _load_case(args)
+        return case.inst, {"O": case.O.flows, "F": case.F.flows}
     if args.u:
         if not args.v:
             raise TransportError("--u needs --v")
-        return Instance(args.u.split(","), args.v.split(","))
-    return _load_case(args).inst
+        return Instance(args.u.split(","), args.v.split(",")), {}
+    doc = _read_json(args.infile)
+    data = doc.get("instance", doc) if isinstance(doc, dict) else None
+    if not isinstance(data, dict):
+        raise TransportError(f"{args.infile} holds no JSON object of margins")
+    return Instance(data["u"], data["v"]), doc
 
 
 def _load_case(args) -> GeneratedCase:
@@ -146,11 +151,11 @@ def _load_case(args) -> GeneratedCase:
     if name == "example1":
         return gen_example1()
     if name == "coincide":
-        return gen_coincide(args.n or 3)
+        return gen_coincide(args.n)
     if name == "diameter_n":
-        return gen_diameter_n(args.n or 3)
+        return gen_diameter_n(args.n)
     if name == "hirsch_sharp":
-        return gen_hirsch_sharp(args.m or 2, args.n or 3)
+        return gen_hirsch_sharp(args.m, args.n)
     raise TransportError(f"unknown generator {name!r}")
 
 
@@ -162,21 +167,12 @@ def _load_point(inst: Instance, path: str) -> Assignment:
 
 
 def _endpoints(args) -> tuple[Instance, Assignment, Assignment]:
-    sources = sum(1 for x in (args.infile, args.gen, args.u) if x)
-    if sources != 1:
-        raise TransportError("give exactly one of --in, --gen, --u/--v")
+    inst, doc = _load_instance(args)
     O = F = None
-    if args.gen:
-        case = _load_case(args)
-        inst, O, F = case.inst, case.O, case.F
-    else:
-        inst = _load_instance(args)
-        if args.infile:
-            doc = _read_json(args.infile)
-            if "O" in doc:
-                O = Assignment(inst, doc["O"])
-            if "F" in doc:
-                F = Assignment(inst, doc["F"])
+    if "O" in doc:
+        O = Assignment(inst, doc["O"])
+    if "F" in doc:
+        F = Assignment(inst, doc["F"])
     if args.src:
         O = _load_point(inst, args.src)
     if args.dst:
@@ -210,7 +206,7 @@ def _plain(value):
 
 
 def _cmd_vertices(args) -> int:
-    inst = _load_instance(args)
+    inst, _ = _load_instance(args)
     verts = enumerate_vertices(inst, cap_trees=args.cap_trees)
     fields = ["index"] + [
         f"y{i + 1}_{j + 1}" for i in range(inst.m) for j in range(inst.n)
@@ -227,7 +223,7 @@ def _cmd_vertices(args) -> int:
 
 
 def _cmd_adjacency(args) -> int:
-    inst = _load_instance(args)
+    inst, _ = _load_instance(args)
     verts = enumerate_vertices(inst, cap_trees=args.cap_trees)
     adj = neighbor_graph(verts)
     rows = [
@@ -239,7 +235,7 @@ def _cmd_adjacency(args) -> int:
 
 
 def _cmd_diameter(args) -> int:
-    inst = _load_instance(args)
+    inst, _ = _load_instance(args)
     hd = hirsch_data(inst, cap_trees=args.cap_trees)
     diam = graph_diameter(inst, cap_trees=args.cap_trees)
     ok = diam <= hd.bound
@@ -472,9 +468,8 @@ def _sweep_one(task) -> dict:
 
 def _cmd_sweep(args) -> int:
     m = 2 if args.family == "2xn" else 3
-    n = args.n or 3
     tasks = [
-        (args.seed, idx, m, n, args.pairs) for idx in range(args.count)
+        (args.seed, idx, m, args.n, args.pairs) for idx in range(args.count)
     ]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
@@ -499,8 +494,8 @@ def _build_parser() -> argparse.ArgumentParser:
     src = argparse.ArgumentParser(add_help=False)
     src.add_argument("--in", dest="infile", help="instance JSON file")
     src.add_argument("--gen", help="generator: example1 | coincide | diameter_n | hirsch_sharp")
-    src.add_argument("--m", type=int, help="generator rows")
-    src.add_argument("--n", type=int, help="generator columns")
+    src.add_argument("--m", type=int, default=2, help="generator rows")
+    src.add_argument("--n", type=int, default=3, help="generator columns")
     src.add_argument("--u", help="comma-separated supply margins")
     src.add_argument("--v", help="comma-separated demand margins")
     src.add_argument("--from", dest="src", help="start flows JSON file")

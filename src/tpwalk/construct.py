@@ -44,7 +44,7 @@ from .core import (
     support_graph,
 )
 from .circuits import max_step
-from .polytope import insert_pivot, is_nondegenerate
+from .polytope import _northwest_fill, insert_pivot, is_nondegenerate
 
 
 # ---------------------------------------------------------------- helpers
@@ -131,14 +131,9 @@ class MarkTrace:
     free_marks: int = 0
     protected: Edge | None = None
     step4_hits: int = 0
-    entered_3a_from: list[str] = field(default_factory=list)
 
 
 def _mark_only(state: MarkState, edge: Edge) -> tuple[None, MarkState]:
-    if edge in state.marked:
-        raise UnreachableCaseError(f"re-marking {edge}")
-    if edge not in state.current.support:
-        raise UnreachableCaseError(f"marking absent edge {edge}")
     return None, MarkState(state.current, state.marked | {edge}, state.target)
 
 
@@ -148,8 +143,6 @@ def _pivot_mark(state: MarkState, edge: Edge) -> tuple[PivotChoice, MarkState]:
     if len(piv.deleted) != 1:
         raise UnreachableCaseError("pivot on a non-degenerate instance tied")
     deleted = next(iter(piv.deleted))
-    if deleted in state.marked:
-        raise UnreachableCaseError(f"pivot for {edge} deleted marked {deleted}")
     nxt = MarkState(piv.result, state.marked | {edge}, state.target)
     return PivotChoice(edge, piv.circuit, piv.alpha, deleted, edge), nxt
 
@@ -281,31 +274,7 @@ def _step4(state: MarkState, i: int, missing: list[Edge]) -> tuple[PivotChoice, 
     return _pivot_mark(state, (i, t))
 
 
-# ------------------------------------------------------- 2xn edge walks
-
-def _mixed_pair_2xn(sup) -> int:
-    mixed = _mixed_demands(sup)
-    if len(mixed) != 1:
-        raise UnreachableCaseError(f"2xn vertex with mixed demands {mixed}")
-    return mixed[0]
-
-
-def _record(trace: MarkTrace, before: MarkState, after: MarkState,
-            choice: PivotChoice | None, label: str):
-    new = after.marked - before.marked
-    if len(new) != 1:
-        raise UnreachableCaseError("a round must mark exactly one edge")
-    edge = next(iter(new))
-    trace.marks.append((edge, choice is not None))
-    trace.cases.append(label)
-    if choice is None:
-        trace.free_marks += 1
-
-
-def _check_walk_done(state: MarkState):
-    if state.current.flows != state.target.flows:
-        raise UnreachableCaseError("all edges marked but target not reached")
-
+# ---------------------------------------------------------- walk driver
 
 def _check_endpoints(O: Assignment, F: Assignment, m: int):
     """The entry check of every construction: m supplies, one common
@@ -319,26 +288,63 @@ def _check_endpoints(O: Assignment, F: Assignment, m: int):
             raise TransportError(f"{name} is not a vertex")
 
 
-def _marking_walk_2xn(O: Assignment, F: Assignment, choose=None
-                      ) -> tuple[Walk, MarkTrace]:
-    """The walk body of edge_walk_2xn_report, for callers that checked
-    the endpoints and the instance once at entry."""
+def _marking_walk(O: Assignment, F: Assignment, next_round
+                  ) -> tuple[Walk, MarkTrace]:
+    """The round driver of every marking walk, for callers that checked
+    the endpoints and the instance once at entry.
+
+    next_round(state, prev, trace) runs one round and returns the pivot
+    (None for a free mark), the new state and the round's label; prev is
+    the previous round's label, "start" before the first round. Each
+    round must mark exactly one new target edge, so |F| rounds suffice.
+    """
     state = MarkState(O, frozenset(), F)
     trace = MarkTrace()
     points = [O.flows]
     steps: list[tuple[Circuit, Fraction]] = []
+    label = "start"
+    for _ in range(len(F.support) + 1):
+        if state.done():
+            break
+        before = state
+        choice, state, label = next_round(state, label, trace)
+        new = state.marked - before.marked
+        if len(new) != 1:
+            raise UnreachableCaseError("a round must mark exactly one edge")
+        trace.marks.append((next(iter(new)), choice is not None))
+        trace.cases.append(label)
+        if choice is None:
+            trace.free_marks += 1
+        else:
+            points.append(state.current.flows)
+            steps.append((choice.circuit, choice.alpha))
+    else:
+        raise UnreachableCaseError("marking did not finish in |F| rounds")
+    if state.current.flows != F.flows:
+        raise UnreachableCaseError("all edges marked but target not reached")
+    return Walk("CD_e", tuple(points), tuple(steps)), trace
 
+
+# ------------------------------------------------------- 2xn edge walks
+
+def _mixed_pair_2xn(sup) -> int:
+    mixed = _mixed_demands(sup)
+    if len(mixed) != 1:
+        raise UnreachableCaseError(f"2xn vertex with mixed demands {mixed}")
+    return mixed[0]
+
+
+def _marking_walk_2xn(O: Assignment, F: Assignment, choose=None
+                      ) -> tuple[Walk, MarkTrace]:
+    """The walk body of edge_walk_2xn_report, for callers that checked
+    the endpoints and the instance once at entry."""
     # Opening free mark: some target-leaf edge already present, if any.
     deg_f = _demand_degree(F.support)
     start_leaves = sorted(
         e for e in F.support if deg_f[e[1]] == 1 and e in O.support
     )
     watch: frozenset[Edge] = frozenset()
-    if start_leaves:
-        before = state
-        _, state = _mark_only(state, start_leaves[0])
-        _record(trace, before, state, None, "opening leaf mark")
-    else:
+    if not start_leaves:
         # No shared leaf edge forces the overlap to be exactly the two
         # mixed edges of both supports, shared by O and F. At most one of
         # them is ever deleted; the survivor will be marked for free.
@@ -348,9 +354,10 @@ def _marking_walk_2xn(O: Assignment, F: Assignment, choose=None
             raise UnreachableCaseError("no opening mark and no shared mixed pair")
         watch = frozenset(mixed_f)
 
-    for _ in range(len(F.support) + 1):
-        if state.done():
-            break
+    def next_round(state, prev, trace):
+        if prev == "start" and start_leaves:
+            choice, nxt = _mark_only(state, start_leaves[0])
+            return choice, nxt, "opening leaf mark"
         q = _mixed_pair_2xn(state.current.support)
         cands = [i for i in (0, 1) if (i, q) not in state.marked]
         if not cands:
@@ -358,12 +365,8 @@ def _marking_walk_2xn(O: Assignment, F: Assignment, choose=None
         i = cands[0] if choose is None else choose(state, q, cands)
         if i not in cands:
             raise UnreachableCaseError(f"override chose supply {i} outside {cands}")
-        before = state
-        choice, state = _mark_round(state, i, trace)
-        _record(trace, before, state, choice, f"round at supply {i}")
+        choice, nxt = _mark_round(state, i, trace)
         if choice is not None:
-            points.append(state.current.flows)
-            steps.append((choice.circuit, choice.alpha))
             if trace.protected is not None and choice.deleted == trace.protected:
                 raise UnreachableCaseError(
                     f"protected shared edge {trace.protected} was deleted"
@@ -371,13 +374,12 @@ def _marking_walk_2xn(O: Assignment, F: Assignment, choose=None
             if choice.deleted in watch and trace.protected is None:
                 other = next(iter(watch - {choice.deleted}))
                 trace.protected = other
-    else:
-        raise UnreachableCaseError("marking did not finish in |F| rounds")
+        return choice, nxt, f"round at supply {i}"
 
-    _check_walk_done(state)
+    walk, trace = _marking_walk(O, F, next_round)
     if trace.free_marks < 1:
         raise UnreachableCaseError("walk finished without a free mark")
-    return Walk("CD_e", tuple(points), tuple(steps)), trace
+    return walk, trace
 
 
 def edge_walk_2xn(O: Assignment, F: Assignment) -> Walk:
@@ -400,12 +402,13 @@ def lp_optimum_2xn(inst: Instance, s) -> Assignment:
 
     Sort columns stably by s_1j - s_2j, non-increasing. Serve the sorted
     prefix from supply 1 until it runs dry, split one column, serve the
-    rest from supply 2. Non-degeneracy makes the split column proper, so
-    the result is the unique optimal vertex up to objective ties.
+    rest from supply 2: the northwest-corner rule in that column order.
+    Non-degeneracy makes the split column proper, so the result is the
+    unique optimal vertex up to objective ties.
     """
     s = as_matrix(s)
     _check_greedy(inst, s)
-    return _lp_optimum_2xn(inst, s)
+    return _northwest_fill(inst, _greedy_order(s))
 
 
 def _check_greedy(inst: Instance, s: Matrix):
@@ -419,32 +422,6 @@ def _check_greedy(inst: Instance, s: Matrix):
 
 def _greedy_order(s: Matrix) -> list[int]:
     return sorted(range(len(s[0])), key=lambda j: s[1][j] - s[0][j])
-
-
-def _lp_optimum_2xn(inst: Instance, s: Matrix) -> Assignment:
-    """The body of lp_optimum_2xn, for a checked instance and a
-    normalized cost matrix."""
-    n = inst.n
-    grid = [[Fraction(0)] * n for _ in range(2)]
-    acc = Fraction(0)
-    split = None
-    for pos, col in enumerate(_greedy_order(s)):
-        if acc + inst.v[col] < inst.u[0]:
-            grid[0][col] = inst.v[col]
-            acc += inst.v[col]
-        elif split is None:
-            split = pos
-            grid[0][col] = inst.u[0] - acc
-            grid[1][col] = inst.v[col] - grid[0][col]
-            acc = inst.u[0]
-        else:
-            grid[1][col] = inst.v[col]
-    if split is None:
-        raise UnreachableCaseError("supply 1 exceeds total demand")
-    out = Assignment(inst, grid)
-    if not out.is_vertex():
-        raise UnreachableCaseError("greedy fill produced a cycle")
-    return out
 
 
 def monotone_walk_2xn(O: Assignment, s) -> Walk:
@@ -463,9 +440,10 @@ def monotone_walk_2xn_report(O: Assignment, s) -> tuple[Walk, MarkTrace]:
     inst = O.inst
     s = as_matrix(s)
     _check_greedy(inst, s)
-    F = _lp_optimum_2xn(inst, s)
+    order = _greedy_order(s)
+    F = _northwest_fill(inst, order)
     _check_endpoints(O, F, 2)
-    pos = {col: p for p, col in enumerate(_greedy_order(s))}
+    pos = {col: p for p, col in enumerate(order)}
     target_mixed = _mixed_pair_2xn(F.support)
 
     def choose(state, q, cands):
@@ -594,36 +572,27 @@ def _dispatch_3xn(state: MarkState, prev: str, trace: MarkTrace
     end_a, d_a, mid, d_b, end_b = _mixed_path_3xn(sup)
     seq = [(end_a, d_a), (mid, d_a), (mid, d_b), (end_b, d_b)]
     pattern = tuple(p + 1 for p, e in enumerate(seq) if e in state.marked)
+    mirrored = tuple(5 - p for p in reversed(pattern))
+    if mirrored < pattern:
+        # Read the path from end_b (p -> 5 - p), so that the marks start
+        # at end_a and each mirrored pair of patterns is handled once.
+        pattern = mirrored
+        end_a, d_a, d_b, end_b = end_b, d_b, d_a, end_a
 
     if pattern == (2, 3):
         raise UnreachableCaseError("both middle path edges marked (impossible case)")
     if pattern == (1, 2, 3, 4):
         raise UnreachableCaseError("full path marked before completion")
-
-    if pattern in ((1, 2), (3, 4)):
-        if pattern == (1, 2):
-            roles = (end_a, d_a, mid, end_b, d_b)
-        else:
-            roles = (end_b, d_b, mid, end_a, d_a)
+    roles = (end_a, d_a, mid, end_b, d_b)
+    if pattern == (1, 2):
         choice, nxt = _case_2b(state, *roles)
         return choice, nxt, "two marks at one end"
-
-    if len(pattern) == 3:
-        if pattern in ((1, 2, 3), (2, 3, 4)):
-            if pattern == (1, 2, 3):
-                roles = (end_a, d_a, mid, end_b, d_b)
-            else:
-                roles = (end_b, d_b, mid, end_a, d_a)
-            trace.entered_3a_from.append(prev)
-            choice, nxt = _case_3a(state, *roles, entered_from=prev)
-            return choice, nxt, "three marks, path end open"
-        if pattern == (1, 2, 4):
-            roles = (end_a, d_a, mid, end_b, d_b)
-        else:  # (1, 3, 4)
-            roles = (end_b, d_b, mid, end_a, d_a)
+    if pattern == (1, 2, 3):
+        choice, nxt = _case_3a(state, *roles, entered_from=prev)
+        return choice, nxt, "three marks, path end open"
+    if pattern == (1, 2, 4):
         choice, nxt = _case_3b(state, *roles)
         return choice, nxt, "three marks, middle open"
-
     if pattern == (1, 4):
         choice, nxt = _mark_round(state, mid, trace)
         return choice, nxt, f"path round at middle supply {mid}"
@@ -647,26 +616,7 @@ def edge_walk_3xn_report(O: Assignment, F: Assignment) -> tuple[Walk, MarkTrace]
     _check_endpoints(O, F, 3)
     if not is_nondegenerate(O.inst):
         raise DegenerateError("edge walks need a non-degenerate instance")
-
-    state = MarkState(O, frozenset(), F)
-    trace = MarkTrace()
-    points = [O.flows]
-    steps: list[tuple[Circuit, Fraction]] = []
-    prev = "start"
-    for _ in range(len(F.support) + 1):
-        if state.done():
-            break
-        before = state
-        choice, state, label = _dispatch_3xn(state, prev, trace)
-        _record(trace, before, state, choice, label)
-        prev = label
-        if choice is not None:
-            points.append(state.current.flows)
-            steps.append((choice.circuit, choice.alpha))
-    else:
-        raise UnreachableCaseError("marking did not finish in |F| rounds")
-    _check_walk_done(state)
-    return Walk("CD_e", tuple(points), tuple(steps)), trace
+    return _marking_walk(O, F, _dispatch_3xn)
 
 
 # ---------------------------------------------------- 2xn maximal steps

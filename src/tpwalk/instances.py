@@ -245,6 +245,8 @@ def perturb_certified(case: GeneratedCase, eps=Fraction(1, 1024),
     if k is None:
         raise TransportError("case carries no perturbed lower-bound claim")
     eps = parse_rational(eps)
+    if eps <= 0:
+        raise TransportError("certifying needs a positive perturbation size")
     for _ in range(max_halvings + 1):
         cand = perturb(case, eps)
         below = cd_at_most(cand.O, cand.F, k - 1, cap_solves=cap_solves)
@@ -263,6 +265,8 @@ def random_instance(rng: random.Random, m: int, n: int, low: int = 1,
                     high: int = 50, max_tries: int = 200000) -> Instance:
     """Uniform integer margins in [low, high], resampled until they
     balance and are non-degenerate."""
+    if m < 2 or n < 2:
+        raise TransportError(f"random instances need m, n >= 2, not {m}x{n}")
     for _ in range(max_tries):
         u = [rng.randint(low, high) for _ in range(m)]
         v = [rng.randint(low, high) for _ in range(n)]

@@ -46,11 +46,18 @@ def is_nondegenerate(inst: Instance) -> bool:
 
 def northwest_corner(inst: Instance) -> Assignment:
     """Greedy row-major fill. Always yields a vertex (staircase support)."""
+    return _northwest_fill(inst, range(inst.n))
+
+
+def _northwest_fill(inst: Instance, cols) -> Assignment:
+    """The northwest-corner rule with the columns taken in the order
+    cols. Any order gives a staircase support, so always a vertex."""
     m, n = inst.m, inst.n
     grid = [[Fraction(0)] * n for _ in range(m)]
     ru, rv = list(inst.u), list(inst.v)
-    i = j = 0
-    while i < m and j < n:
+    i = pos = 0
+    while i < m and pos < n:
+        j = cols[pos]
         x = min(ru[i], rv[j])
         grid[i][j] = x
         ru[i] -= x
@@ -58,7 +65,7 @@ def northwest_corner(inst: Instance) -> Assignment:
         if ru[i] == 0 and i < m - 1:
             i += 1
         else:
-            j += 1
+            pos += 1
     return Assignment(inst, grid)
 
 

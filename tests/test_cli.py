@@ -196,15 +196,37 @@ def test_sweep_revalidates_walks(monkeypatch):
     assert row["max_length"] <= row["bound"] and row["pass"] is False
 
 
+WALK_IN = ["walk", "--in", "{}", "--kind", "cdfm"]
+
+
 @pytest.mark.parametrize("doc,args", [
-    (5, ["--gen", "example1", "--kind", "monotone2n", "--cost", "{}"]),
-    (5, ["--u", "3,3", "--v", "2,2,2", "--kind", "cdfm", "--from", "{}", "--to", "{}"]),
-    ({"u": 5, "v": [2, 2, 2]}, ["--in", "{}", "--kind", "cdfm"]),
+    (5, ["walk", "--gen", "example1", "--kind", "monotone2n", "--cost", "{}"]),
+    (5, ["walk", "--u", "3,3", "--v", "2,2,2", "--kind", "cdfm", "--from", "{}",
+         "--to", "{}"]),
+    ({"u": 5, "v": [2, 2, 2]}, WALK_IN),
+    (5, WALK_IN),
+    ([1, 2], WALK_IN),
+    ("abc", WALK_IN),
+    (5, ["vertices", "--in", "{}"]),
+    ([1, 2], ["vertices", "--in", "{}"]),
+    ("abc", ["vertices", "--in", "{}"]),
+    ({"instance": [1, 2]}, ["vertices", "--in", "{}"]),
 ])
 def test_malformed_json_is_a_usage_error(tmp_path, doc, args):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    rc, out, err = run(["walk", *(a.format(path) for a in args)])
+    rc, out, err = run([a.format(path) for a in args])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("args", [
+    ["gen", "--gen", "coincide", "--n", "0"],
+    ["gen", "--gen", "hirsch_sharp", "--m", "0", "--n", "3"],
+    ["sweep", "--family", "2xn", "--n", "0", "--count", "1"],
+])
+def test_explicit_zero_size_is_kept(args):
+    rc, out, err = run(args)
     assert (rc, out) == (2, "")
     assert err.startswith("error:")
 

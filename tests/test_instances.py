@@ -15,6 +15,7 @@ from tpwalk import (
     gen_hirsch_sharp,
     graph_distance,
     insert_pivot,
+    instances,
     is_nondegenerate,
     northwest_corner,
     perturb,
@@ -110,6 +111,16 @@ def test_perturb_certified_small():
     assert shifted.expected["min_circuits"] == 2
 
 
+@pytest.mark.parametrize("eps", [0, "-1/2"])
+def test_perturb_certified_rejects_nonpositive_eps(monkeypatch, eps):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before checking eps")
+
+    monkeypatch.setattr(instances, "cd_at_most", no_search)
+    with pytest.raises(TransportError, match="positive"):
+        perturb_certified(gen_hirsch_sharp(3, 3), eps)
+
+
 def test_generated_case_validates_endpoints():
     case = gen_example1()
     flat = Assignment(case.inst, [[1, 1, 1], [1, 1, 1]])
@@ -126,3 +137,12 @@ def test_random_instance_contract():
     assert all(x == int(x) for x in inst.u + inst.v)
     again = random_instance(random.Random("ri:0"), 2, 4, low=1, high=30)
     assert again == inst
+
+
+@pytest.mark.parametrize("m,n", [(2, 0), (1, 3), (3, 1)])
+def test_random_instance_rejects_small_shapes(m, n):
+    rng = random.Random("ri:small")
+    state = rng.getstate()
+    with pytest.raises(TransportError, match="need m, n >= 2"):
+        random_instance(rng, m, n)
+    assert rng.getstate() == state
