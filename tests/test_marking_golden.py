@@ -38,14 +38,10 @@ HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden" / "marking.json"
 
 
-def _rat(x):
-    return format_rational(x)
-
-
 def _walk_record(walk, trace):
     return {
         "steps": [
-            [list(g.supplies), list(g.demands), _rat(alpha)]
+            [list(g.supplies), list(g.demands), format_rational(alpha)]
             for g, alpha in walk.steps
         ],
         "marks": [[list(e), pivoted] for e, pivoted in trace.marks],
@@ -66,7 +62,7 @@ def _pattern(state):
     return "".join(str(p + 1) for p, e in enumerate(seq) if e in state.marked) or "-"
 
 
-def _walk_3xn_with_patterns(O, F, monkeypatch=None):
+def _walk_3xn_with_patterns(O, F):
     seen = []
     dispatch = construct._dispatch_3xn
 
@@ -74,24 +70,21 @@ def _walk_3xn_with_patterns(O, F, monkeypatch=None):
         seen.append(_pattern(state))
         return dispatch(state, *rest)
 
-    if monkeypatch is None:
-        construct._dispatch_3xn = watched
-        try:
-            walk, trace = edge_walk_3xn_report(O, F)
-        finally:
-            construct._dispatch_3xn = dispatch
-    else:
-        monkeypatch.setattr(construct, "_dispatch_3xn", watched)
+    construct._dispatch_3xn = watched
+    try:
         walk, trace = edge_walk_3xn_report(O, F)
+    finally:
+        construct._dispatch_3xn = dispatch
     return walk, trace, seen
 
 
 def _inst_json(inst):
-    return {"u": [_rat(x) for x in inst.u], "v": [_rat(x) for x in inst.v]}
+    return {"u": [format_rational(x) for x in inst.u],
+            "v": [format_rational(x) for x in inst.v]}
 
 
 def _flows_json(flows):
-    return [[_rat(x) for x in row] for row in flows]
+    return [[format_rational(x) for x in row] for row in flows]
 
 
 def _random_pair(tag, seed, m, sizes):
@@ -148,7 +141,7 @@ def _endpoints(case):
     return inst, O, F
 
 
-def _run(kind, case, monkeypatch=None):
+def _run(kind, case):
     inst, O, F = _endpoints(case)
     if kind == "edge2n":
         return _walk_record(*edge_walk_2xn_report(O, F))
@@ -156,7 +149,7 @@ def _run(kind, case, monkeypatch=None):
         record = _walk_record(*monotone_walk_2xn_report(O, case["cost"]))
         record["optimum"] = _flows_json(lp_optimum_2xn(inst, case["cost"]).flows)
         return record
-    walk, trace, seen = _walk_3xn_with_patterns(O, F, monkeypatch)
+    walk, trace, seen = _walk_3xn_with_patterns(O, F)
     record = _walk_record(walk, trace)
     record["patterns"] = seen
     return record
@@ -167,9 +160,9 @@ def _recorded():
 
 
 @pytest.mark.parametrize("kind", ["edge2n", "edge3n", "monotone2n"])
-def test_marking_walks_unchanged(kind, monkeypatch):
+def test_marking_walks_unchanged(kind):
     for idx, entry in enumerate(_recorded()[kind]):
-        assert _run(kind, entry["input"], monkeypatch) == entry["output"], idx
+        assert _run(kind, entry["input"]) == entry["output"], idx
 
 
 def test_golden_covers_mirrored_patterns():
