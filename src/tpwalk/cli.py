@@ -155,7 +155,7 @@ def _load_case(args) -> GeneratedCase:
     if name == "diameter_n":
         return gen_diameter_n(args.n)
     if name == "hirsch_sharp":
-        return gen_hirsch_sharp(args.m, args.n)
+        return gen_hirsch_sharp(2 if args.m is None else args.m, args.n)
     raise TransportError(f"unknown generator {name!r}")
 
 
@@ -468,6 +468,8 @@ def _sweep_one(task) -> dict:
 
 def _cmd_sweep(args) -> int:
     m = 2 if args.family == "2xn" else 3
+    if args.m not in (None, m):
+        raise TransportError(f"--m {args.m} conflicts with --family {args.family}")
     tasks = [
         (args.seed, idx, m, args.n, args.pairs) for idx in range(args.count)
     ]
@@ -494,7 +496,7 @@ def _build_parser() -> argparse.ArgumentParser:
     src = argparse.ArgumentParser(add_help=False)
     src.add_argument("--in", dest="infile", help="instance JSON file")
     src.add_argument("--gen", help="generator: example1 | coincide | diameter_n | hirsch_sharp")
-    src.add_argument("--m", type=int, default=2, help="generator rows")
+    src.add_argument("--m", type=int, help="generator rows (default 2)")
     src.add_argument("--n", type=int, default=3, help="generator columns")
     src.add_argument("--u", help="comma-separated supply margins")
     src.add_argument("--v", help="comma-separated demand margins")

@@ -164,6 +164,20 @@ def test_sweep_both_families():
     assert all(row["pass"] for row in json.loads(out))
 
 
+@pytest.mark.parametrize("family,m", [("2xn", "3"), ("3xn", "2")])
+def test_sweep_rejects_conflicting_rows(family, m):
+    rc, out, err = run(["sweep", "--family", family, "--m", m, "--count", "1"])
+    assert (rc, out) == (2, "")
+    assert "conflicts with --family" in err
+
+
+def test_sweep_accepts_matching_rows():
+    rc, out, _ = run(["sweep", "--family", "3xn", "--m", "3", "--count", "1",
+                      "--pairs", "2"])
+    assert rc == 0
+    assert [row["m"] for row in json.loads(out)] == [3]
+
+
 def test_sweep_parallel_matches_serial():
     rc1, out1, _ = run(
         ["sweep", "--family", "2xn", "--count", "2", "--pairs", "3", "--seed", "5"]

@@ -134,6 +134,25 @@ def test_3xn_walk_rejects_degenerate():
         edge_walk_3xn_report(O, F)
 
 
+# Degenerate only through the tie 1 + 1/2 = 3/2. The numerators alone
+# share no proper subset sum, so a check that dropped the scaling by the
+# common denominator would let these through.
+FRACTIONAL_2XN = (("3/2", "4"), ("1", "1/2", "4"))
+
+
+@pytest.mark.parametrize("u,v,walk", [
+    (*FRACTIONAL_2XN, edge_walk_2xn_report),
+    (*FRACTIONAL_2XN,
+     lambda O, F: monotone_walk_2xn_report(O, [[0, 1, 2], [2, 1, 0]])),
+    (*FRACTIONAL_2XN, lambda O, F: lp_optimum_2xn(O.inst, [[0, 1, 2], [2, 1, 0]])),
+    (("1", "1/2", "7"), ("3/2", "3/2", "11/2"), edge_walk_3xn_report),
+])
+def test_walks_reject_fractional_degenerate(u, v, walk):
+    O, F = _degenerate_pair(u, v)
+    with pytest.raises(DegenerateError):
+        walk(O, F)
+
+
 def test_edge_walk_3xn_pinned(three_by_three):
     inst, O, F = three_by_three
     walk, trace = edge_walk_3xn_report(O, F)

@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tpwalk import (
@@ -14,10 +16,12 @@ from tpwalk import (
     enumerate_vertices,
     gen_coincide,
     gen_example1,
+    gen_hirsch_sharp,
     hirsch_data,
     insert_pivot,
     is_nondegenerate,
     northwest_corner,
+    perturb,
     random_instance,
     tree_count,
     vertex_neighbors,
@@ -28,6 +32,53 @@ def test_nondegeneracy():
     assert is_nondegenerate(Instance((3, 3), (2, 2, 2)))
     assert not is_nondegenerate(Instance((2, 2), (2, 2)))
     assert not is_nondegenerate(Instance((3, 5), (3, 2, 3)))
+
+
+def _brute_nondegenerate(inst):
+    """Reference oracle: list every proper subset sum of both sides."""
+    usums = {sum(c) for r in range(1, inst.m) for c in combinations(inst.u, r)}
+    vsums = {sum(c) for r in range(1, inst.n) for c in combinations(inst.v, r)}
+    return not (usums & vsums)
+
+
+MARGIN = st.builds(Fraction, st.integers(1, 12), st.sampled_from((1, 2, 3, 6)))
+
+
+@st.composite
+def sixths_instances(draw):
+    """Margins on the 1/6 grid. Half the time u starts with the sum of a
+    proper subset of v, which forces a tie, so the instance is degenerate."""
+    m, n = draw(st.integers(2, 4)), draw(st.integers(2, 6))
+    v = draw(st.lists(MARGIN, min_size=n, max_size=n))
+    u = []
+    if draw(st.booleans()):
+        tie = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+        u.append(sum(v[j] for j in tie))
+    rest = int(6 * (sum(v) - sum(u)))
+    parts = m - len(u)
+    assume(rest >= parts)
+    cuts = []
+    if parts > 1:
+        cuts = sorted(draw(st.sets(st.integers(1, rest - 1), min_size=parts - 1,
+                                   max_size=parts - 1)))
+    u += [Fraction(b - a, 6) for a, b in zip([0] + cuts, cuts + [rest])]
+    return Instance(u, v)
+
+
+@given(sixths_instances())
+@settings(deadline=None, max_examples=300)
+def test_nondegeneracy_matches_subset_listing(inst):
+    assert is_nondegenerate(inst) == _brute_nondegenerate(inst)
+
+
+@pytest.mark.parametrize("case,eps", [
+    *((gen_hirsch_sharp(3, 4), e) for e in ("1/2", "1/3", "1/7", "1/1024")),
+    *((gen_hirsch_sharp(3, 3), e) for e in ("1/2", "1/1024")),
+    *((gen_example1(), e) for e in ("1/2", "1/8", "1/64", f"1/{2 ** 60}")),
+])
+def test_nondegeneracy_matches_subset_listing_perturbed(case, eps):
+    inst = perturb(case, eps).inst
+    assert is_nondegenerate(inst) == _brute_nondegenerate(inst)
 
 
 def test_northwest_corner():
