@@ -148,15 +148,17 @@ def _load_case(args) -> GeneratedCase:
         raise TransportError(
             "this command needs --gen (example1 | coincide | diameter_n | hirsch_sharp)"
         )
+    if name == "hirsch_sharp":
+        return gen_hirsch_sharp(2 if args.m is None else args.m, args.n)
+    if name not in ("example1", "coincide", "diameter_n"):
+        raise TransportError(f"unknown generator {name!r}")
+    if args.m not in (None, 2):
+        raise TransportError(f"--m {args.m} conflicts with --gen {name} (2 rows)")
     if name == "example1":
         return gen_example1()
     if name == "coincide":
         return gen_coincide(args.n)
-    if name == "diameter_n":
-        return gen_diameter_n(args.n)
-    if name == "hirsch_sharp":
-        return gen_hirsch_sharp(2 if args.m is None else args.m, args.n)
-    raise TransportError(f"unknown generator {name!r}")
+    return gen_diameter_n(args.n)
 
 
 def _load_point(inst: Instance, path: str) -> Assignment:
@@ -258,6 +260,13 @@ def _default_cost(inst: Instance):
     ]
 
 
+def _edge_bound(inst: Instance, cap_trees: int = 10**7) -> int:
+    """The Hirsch-type edge-walk bound with k critical edges: min(n, n+1-k)
+    on 2 rows, n+2-k on 3."""
+    k = len(critical_edges(inst, cap_trees))
+    return min(inst.n, inst.n + 1 - k) if inst.m == 2 else inst.n + 2 - k
+
+
 def _cmd_walk(args) -> int:
     inst, O, F = _endpoints(args)
     kind = args.kind
@@ -267,10 +276,10 @@ def _cmd_walk(args) -> int:
         bound = edge_distance(O, F)
     elif kind == "edge2n":
         walk, _ = edge_walk_2xn_report(O, F)
-        bound = min(inst.n, inst.n + 1 - len(critical_edges(inst, args.cap_trees)))
+        bound = _edge_bound(inst, args.cap_trees)
     elif kind == "edge3n":
         walk, _ = edge_walk_3xn_report(O, F)
-        bound = inst.n + 2 - len(critical_edges(inst, args.cap_trees))
+        bound = _edge_bound(inst, args.cap_trees)
     elif kind == "monotone2n":
         cost = _read_json(args.cost) if args.cost else _default_cost(inst)
         walk, _ = monotone_walk_2xn_report(O, cost)
@@ -368,9 +377,7 @@ def _suite_marking(rows, args):
     flows = [[0, 4, 5], [5, 2, 0], [3, 0, 0]]
     F = Assignment(inst, flows)
     walk, trace = edge_walk_3xn_report(O, F)
-    k = len(critical_edges(inst))
-    ok = (validate_walk(walk, inst).valid
-          and walk.length <= inst.n + 2 - k)
+    ok = validate_walk(walk, inst).valid and walk.length <= _edge_bound(inst)
     _check(rows, "marking", "3x3 walk length", walk.length, ok)
 
 
@@ -451,8 +458,7 @@ def _sweep_one(task) -> dict:
             walk, trace = edge_walk_3xn_report(verts[a], verts[b])
         worst = max(worst, walk.length)
         valid = valid and validate_walk(walk, inst).valid
-    k = len(critical_edges(inst))
-    bound = min(n, n + 1 - k) if m == 2 else n + 2 - k
+    bound = _edge_bound(inst)
     return {
         "index": idx,
         "m": m,

@@ -1,16 +1,17 @@
 """Brute-force distance oracles, independent of the constructive walks.
 
 Three notions, three engines. Skeleton distance enumerates every vertex
-by spanning-tree search, builds the whole neighbor graph (one insertion
-pivot per absent edge when the instance is non-degenerate, pairwise
-adjacency tests otherwise) and runs BFS on it. The vertex set and the
-graph are computed once per Instance object and held by it (freed with
-it by the cycle collector), so each further distance is one BFS. Equal
-but distinct Instance objects share nothing. The maximal-step
-distance runs BFS over exact flow states. The unrestricted circuit distance
-reduces to linear algebra: a difference vector is reachable in k
-unrestricted steps iff it lies in the span of at most k circuits, since
-orientations absorb signs and zero coefficients shrink the set. The span
+by spanning-tree search, builds the whole neighbor graph by one rule
+(two vertices are adjacent iff the union of their supports has exactly
+one cycle, tested for every pair after an exact edge-count prefilter)
+and runs BFS on it. The vertex set and the graph are computed once per
+Instance object and held by it (freed with it by the cycle collector),
+so each further distance is one BFS. Equal but distinct Instance
+objects share nothing. The maximal-step distance runs BFS over exact
+flow states. The unrestricted circuit distance reduces to linear
+algebra: a difference vector is reachable in k unrestricted steps iff
+it lies in the span of at most k circuits, since orientations absorb
+signs and zero coefficients shrink the set. The span
 search works in kernel coordinates, dimension (m-1)(n-1), with a
 fraction-free integer echelon that is extended one row at a time.
 """
@@ -27,16 +28,11 @@ from .core import (
     ResourceLimitError,
     TransportError,
     UnreachableCaseError,
+    _cycle_count,
     apply_circuit,
 )
 from .circuits import CircuitSet, enumerate_circuits, max_step
-from .polytope import (
-    VertexSet,
-    are_adjacent,
-    enumerate_vertices,
-    is_nondegenerate,
-    vertex_neighbors,
-)
+from .polytope import VertexSet, enumerate_vertices
 
 
 @dataclass(frozen=True)
@@ -65,12 +61,13 @@ class DistanceTable:
 
 
 def neighbor_graph(verts: VertexSet) -> list[list[int]]:
-    """Adjacency lists over vertex indices.
+    """Adjacency lists over vertex indices, each sorted.
 
-    Non-degenerate: one pivot per absent edge gives all neighbors.
-    Degenerate: fall back to pairwise unique-cycle tests. The graph of an
-    instance's enumerated vertex set is built once; each call returns
-    fresh lists.
+    Two vertices are adjacent iff the union of their supports has exactly
+    one cycle, on degenerate and non-degenerate instances alike. The
+    graph of an instance's enumerated vertex set is built once; each call
+    returns fresh lists. A hand-built set gets the graph it induces, which
+    may be disconnected.
     """
     return [list(row) for row in _adjacency(verts)]
 
@@ -81,32 +78,33 @@ def _adjacency(verts: VertexSet) -> tuple[tuple[int, ...], ...]:
     if held.get("vertices") is not verts:
         return _build_graph(verts)
     if "graph" not in held:
-        held["graph"] = _build_graph(verts)
+        graph = _build_graph(verts)
+        if any(d < 0 for d in _bfs(graph, 0)):
+            raise UnreachableCaseError("vertex graph is disconnected")
+        held["graph"] = graph
     return held["graph"]
 
 
 def _build_graph(verts: VertexSet) -> tuple[tuple[int, ...], ...]:
-    if is_nondegenerate(verts.inst):
-        out = []
-        for a in verts:
-            row = []
-            for piv in vertex_neighbors(a):
-                if len(piv.deleted) != 1:
-                    raise UnreachableCaseError(
-                        "non-degenerate pivot deleted several edges"
-                    )
-                row.append(verts.index_of(piv.result))
-            out.append(sorted(set(row)))
-    else:
-        size = len(verts)
-        out = [[] for _ in range(size)]
-        for a in range(size):
-            for b in range(a + 1, size):
-                if are_adjacent(verts[a], verts[b]):
-                    out[a].append(b)
-                    out[b].append(a)
-    if any(d < 0 for d in _bfs(out, 0)):
-        raise UnreachableCaseError("vertex graph is disconnected")
+    """Pairwise one-cycle tests, all pairs of the set.
+
+    A subgraph of K_{m,n} with E edges and c >= 1 components has
+    E - (m+n) + c independent cycles, so a union of more than m+n edges
+    has at least two and the pair is skipped on an edge count alone.
+    """
+    inst = verts.inst
+    m, n = inst.m, inst.n
+    if any(a.inst != inst or not a.is_vertex() for a in verts):
+        raise TransportError("a vertex set holds only vertices of its instance")
+    sups = [a.support for a in verts]
+    masks = [sum(1 << (i * n + j) for i, j in sup) for sup in sups]
+    out = [[] for _ in sups]
+    for a, (sup, mask) in enumerate(zip(sups, masks)):
+        for b in range(a + 1, len(sups)):
+            if ((mask | masks[b]).bit_count() <= m + n
+                    and _cycle_count(sup | sups[b], m, n) == 1):
+                out[a].append(b)
+                out[b].append(a)
     return tuple(tuple(row) for row in out)
 
 

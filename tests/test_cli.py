@@ -171,6 +171,22 @@ def test_sweep_rejects_conflicting_rows(family, m):
     assert "conflicts with --family" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["gen", "--gen", "coincide", "--m", "5", "--n", "3"],
+    ["gen", "--gen", "diameter_n", "--m", "3"],
+    ["walk", "--gen", "example1", "--m", "4", "--kind", "cdfm"],
+])
+def test_two_row_generators_reject_other_rows(args):
+    rc, out, err = run(args)
+    assert (rc, out) == (2, "")
+    assert "conflicts with --gen" in err
+
+
+def test_two_row_generators_accept_two_rows():
+    assert run(["gen", "--gen", "coincide", "--m", "2"]) == run(
+        ["gen", "--gen", "coincide"])
+
+
 def test_sweep_accepts_matching_rows():
     rc, out, _ = run(["sweep", "--family", "3xn", "--m", "3", "--count", "1",
                       "--pairs", "2"])

@@ -5,17 +5,20 @@ from itertools import combinations
 import pytest
 
 from tpwalk import (
+    Assignment,
     CircuitSet,
     Instance,
     ResourceLimitError,
     TransportError,
     VertexSet,
+    are_adjacent,
     cd_at_most,
     cd_minimum,
     cdfm_distance,
     enumerate_circuits,
     enumerate_vertices,
     gen_coincide,
+    gen_diameter_n,
     gen_example1,
     gen_hirsch_sharp,
     graph_diameter,
@@ -24,6 +27,7 @@ from tpwalk import (
     neighbor_graph,
     perturb,
     random_instance,
+    vertex_neighbors,
 )
 
 
@@ -116,6 +120,72 @@ def test_hand_built_vertex_set_gets_its_own_graph():
     assert len(adj) == len(star) < len(verts)
     assert adj[0] == list(range(1, len(star)))
     assert neighbor_graph(verts) == full
+
+
+def _induced(full, keep):
+    pos = {old: new for new, old in enumerate(keep)}
+    return [[pos[b] for b in full[a] if b in pos] for a in keep]
+
+
+def test_hand_built_vertex_set_gets_its_induced_graph():
+    # Non-degenerate: a neighbor of the star's rim lies outside the star.
+    inst = Instance((10, 38, 33), (21, 15, 45))
+    verts = enumerate_vertices(inst)
+    full = neighbor_graph(verts)
+    keep = [0, *full[0]]
+    star = VertexSet(inst, tuple(verts[i] for i in keep))
+    assert neighbor_graph(star) == _induced(full, keep)
+
+
+def test_hand_built_vertex_set_may_be_disconnected():
+    # Caller input, not a broken invariant: no connectivity trap here.
+    inst = Instance((1, 3, 4), (2, 3, 3))
+    verts = enumerate_vertices(inst)
+    far = next(b for b in range(1, len(verts)) if b not in neighbor_graph(verts)[0])
+    assert neighbor_graph(VertexSet(inst, (verts[0], verts[far]))) == [[], []]
+    mid = Assignment(inst, [[(x + y) / 2 for x, y in zip(r, s)]
+                            for r, s in zip(verts[0].flows, verts[far].flows)])
+    other = enumerate_vertices(Instance((1, 3, 4), (3, 3, 2)))[0]
+    for stranger in (mid, other):
+        with pytest.raises(TransportError):
+            neighbor_graph(VertexSet(inst, (verts[0], stranger)))
+
+
+def _pivot_graph(verts):
+    """The graph as one insertion pivot per absent edge gives it, each
+    pivot deleting one edge (non-degenerate instances only)."""
+    out = []
+    for a in verts:
+        pivots = vertex_neighbors(a)
+        assert all(len(piv.deleted) == 1 for piv in pivots)
+        out.append(sorted(verts.index_of(piv.result) for piv in pivots))
+    return out
+
+
+@pytest.mark.parametrize("m,n,count", [
+    (2, 3, 2), (2, 4, 2), (2, 5, 2), (3, 3, 2), (3, 4, 2), (3, 5, 2), (4, 4, 1),
+])
+def test_neighbor_graph_matches_pivots(m, n, count):
+    rng = random.Random(f"pivots:{m}x{n}")
+    for _ in range(count):
+        verts = enumerate_vertices(random_instance(rng, m, n))
+        adj = neighbor_graph(verts)
+        assert adj == _pivot_graph(verts)
+        assert all(len(row) == (m - 1) * (n - 1) for row in adj)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_example1().inst,
+    lambda: gen_hirsch_sharp(3, 3).inst,
+    lambda: gen_coincide(4).inst,
+    lambda: gen_diameter_n(4).inst,
+    lambda: Instance((1, 3, 4), (2, 3, 3)),
+], ids=["example1", "hirsch_sharp3x3", "coincide4", "diameter_n4", "134-233"])
+def test_neighbor_graph_matches_pairwise(make):
+    verts = enumerate_vertices(make())
+    want = [[b for b, y in enumerate(verts) if b != a and are_adjacent(x, y)]
+            for a, x in enumerate(verts)]
+    assert neighbor_graph(verts) == want
 
 
 @pytest.mark.parametrize("u,v", [((3, 3), (2, 2, 2)), ((1, 3, 4), (2, 3, 3))])
