@@ -26,6 +26,7 @@ EX1 = ["--gen", "example1"]
 # Input files are named relative to this directory, so the stored argv is
 # the same on every machine; run() resolves them.
 CASE_3X3 = "golden/marking3x3.json"
+CASE_3X9 = "golden/marking3x9.json"
 COMMANDS = {
     "gen-example1": ["gen", *EX1],
     "vertices-example1": ["vertices", *EX1],
@@ -36,6 +37,7 @@ COMMANDS = {
     "walk-monotone2n": ["walk", *EX1, "--kind", "monotone2n"],
     "walk-signcompat": ["walk", *EX1, "--kind", "signcompat"],
     "walk-edge3n": ["walk", "--in", CASE_3X3, "--kind", "edge3n"],
+    "walk-edge3n-3x9": ["walk", "--in", CASE_3X9, "--kind", "edge3n"],
     "oracle-cde": ["oracle", *EX1, "--kind", "cde"],
     "oracle-cdfm": ["oracle", *EX1, "--kind", "cdfm"],
     "oracle-cd": ["oracle", *EX1, "--kind", "cd"],
