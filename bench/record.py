@@ -9,7 +9,9 @@ one made by ``git archive``. For each workload named in the change's
 first alternating from seed to seed; the metrics are read from the last
 line of its stdout. Then each side gets
 one traced run (``--trace 1``) of the ``wide`` workload at seed 1, one
-Tier-1 pytest run and the fixed-seed sweeps in ``SWEEPS``, all timed.
+Tier-1 pytest run and the fixed-seed sweeps in ``SWEEPS``, all timed;
+each sweep also records whether the two sides printed the same bytes
+(``same_stdout``).
 
 For each workload and end-to-end metric the summary gives each side's
 median and quartiles over the seeds, and how many pairs the change won
@@ -138,9 +140,12 @@ def main(argv=None) -> int:
     record["sweeps"] = []
     for sweep in SWEEPS:
         row = {"argv": sweep}
+        stdout = {}
         for side in SIDES:
             proc, s = timed(roots[side], [sys.executable, "-m", "tpwalk.cli", *sweep])
             row[side] = {"exit": proc.returncode, "s": s}
+            stdout[side] = proc.stdout
+        row["same_stdout"] = stdout["parent"] == stdout["change"]
         record["sweeps"].append(row)
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0

@@ -238,7 +238,7 @@ def _cmd_adjacency(args) -> int:
 
 def _cmd_diameter(args) -> int:
     inst, _ = _load_instance(args)
-    hd = hirsch_data(inst, cap_trees=args.cap_trees)
+    hd = hirsch_data(inst)
     diam = graph_diameter(inst, cap_trees=args.cap_trees)
     ok = diam <= hd.bound
     row = {
@@ -260,10 +260,10 @@ def _default_cost(inst: Instance):
     ]
 
 
-def _edge_bound(inst: Instance, cap_trees: int = 10**7) -> int:
+def _edge_bound(inst: Instance) -> int:
     """The Hirsch-type edge-walk bound with k critical edges: min(n, n+1-k)
     on 2 rows, n+2-k on 3."""
-    k = len(critical_edges(inst, cap_trees))
+    k = len(critical_edges(inst))
     return min(inst.n, inst.n + 1 - k) if inst.m == 2 else inst.n + 2 - k
 
 
@@ -276,10 +276,10 @@ def _cmd_walk(args) -> int:
         bound = edge_distance(O, F)
     elif kind == "edge2n":
         walk, _ = edge_walk_2xn_report(O, F)
-        bound = _edge_bound(inst, args.cap_trees)
+        bound = _edge_bound(inst)
     elif kind == "edge3n":
         walk, _ = edge_walk_3xn_report(O, F)
-        bound = _edge_bound(inst, args.cap_trees)
+        bound = _edge_bound(inst)
     elif kind == "monotone2n":
         cost = _read_json(args.cost) if args.cost else _default_cost(inst)
         walk, _ = monotone_walk_2xn_report(O, cost)
@@ -437,18 +437,25 @@ def _cmd_verify(args) -> int:
 
 # ------------------------------------------------------------- sweep
 
+def _sample_pairs(rng: random.Random, count: int, cap: int) -> list:
+    """Up to cap sorted ordered pairs of distinct indices below count: the
+    pairs rng.sample would draw from their sorted list, found by index
+    (sample picks by length alone) so that the list is never built."""
+    total = count * (count - 1)
+    picks = sorted(rng.sample(range(total), cap)) if total > cap else range(total)
+    out = []
+    for t in picks:
+        a, r = divmod(t, count - 1)
+        out.append((a, r + (r >= a)))
+    return out
+
+
 def _sweep_one(task) -> dict:
     seed, idx, m, n, pairs_cap = task
     rng = random.Random(f"{seed}:{idx}")
     inst = random_instance(rng, m, n)
     verts = enumerate_vertices(inst)
-    pairs = [
-        (a, b)
-        for a in range(len(verts)) for b in range(len(verts)) if a != b
-    ]
-    if len(pairs) > pairs_cap:
-        pairs = rng.sample(pairs, pairs_cap)
-        pairs.sort()
+    pairs = _sample_pairs(rng, len(verts), pairs_cap)
     worst = 0
     valid = True
     for a, b in pairs:

@@ -596,15 +596,13 @@ def _dispatch_3xn(state: MarkState, prev: str, trace: MarkTrace
     if pattern == (1, 4):
         choice, nxt = _mark_round(state, mid, trace)
         return choice, nxt, f"path round at middle supply {mid}"
-    ok = []
-    if all(p % 2 == 0 for p in pattern):
-        ok.append(end_a)
-    if all((5 - p) % 2 == 0 for p in pattern):
-        ok.append(end_b)
-    if not ok:
-        raise UnreachableCaseError(f"no path end fits pattern {pattern}")
-    choice, nxt = _mark_round(state, min(ok), trace)
-    return choice, nxt, f"path round at end supply {min(ok)}"
+    # Only (), (1), (2) and (1, 3) are left. end_a fits when every marked
+    # position is even, end_b when every one is odd; this picks the
+    # smaller fitting end, as () is never mirrored and so has
+    # end_a < end_b. _mark_round's parity check still guards the choice.
+    end = end_a if all(p % 2 == 0 for p in pattern) else end_b
+    choice, nxt = _mark_round(state, end, trace)
+    return choice, nxt, f"path round at end supply {end}"
 
 
 def edge_walk_3xn(O: Assignment, F: Assignment) -> Walk:

@@ -4,6 +4,11 @@ Non-degeneracy (exact subset sums of the LCD-scaled integer margins,
 pseudo-polynomial in their total), vertex enumeration by spanning-tree
 search, skeleton adjacency (unique cycle in the union of two forest
 supports), critical edges and the resulting pivot bound m+n-1-k.
+
+Critical edges need no enumeration: row i and column j share only cell
+(i, j), so every feasible y has y_ij >= u_i + v_j - T (T the margin total),
+and Hall's condition on K_{m,n} minus (i, j) gives a feasible y with
+y_ij = max(0, u_i + v_j - T). So (i, j) is critical iff u_i + v_j > T.
 """
 
 from __future__ import annotations
@@ -297,19 +302,17 @@ class HirschData:
     bound: int
 
 
-def critical_edges(inst: Instance, cap_trees: int = 10**7) -> frozenset[Edge]:
-    """Edges carrying positive flow in every vertex.
+def critical_edges(inst: Instance) -> frozenset[Edge]:
+    """Edges positive at every feasible point: u_i + v_j > T. O(mn).
 
-    Scans the enumerated vertex set; linear minima are attained at
-    vertices, so this equals "positive everywhere on the polytope".
+    Row i and column j count y_ij twice, so y_ij >= u_i + v_j - T; Hall's
+    condition on K_{m,n} minus (i, j) attains max(0, u_i + v_j - T).
     """
-    verts = enumerate_vertices(inst, cap_trees=cap_trees)
-    out = verts[0].support
-    for a in verts:
-        out = out & a.support
-    return frozenset(out)
+    total = sum(inst.u)
+    return frozenset((i, j) for i, a in enumerate(inst.u)
+                     for j, b in enumerate(inst.v) if a + b > total)
 
 
-def hirsch_data(inst: Instance, cap_trees: int = 10**7) -> HirschData:
-    k = len(critical_edges(inst, cap_trees=cap_trees))
+def hirsch_data(inst: Instance) -> HirschData:
+    k = len(critical_edges(inst))
     return HirschData(k=k, bound=inst.m + inst.n - 1 - k)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -162,6 +163,33 @@ def test_sweep_both_families():
     )
     assert rc == 0
     assert all(row["pass"] for row in json.loads(out))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 7, 40])
+@pytest.mark.parametrize("cap", [1, 5, 30, 2000])
+def test_sweep_pairs_sampled_by_index(count, cap):
+    for seed in range(5):
+        # The former sampler: list every ordered pair, then sample the list.
+        old, new = random.Random(seed), random.Random(seed)
+        pairs = [(a, b) for a in range(count) for b in range(count) if a != b]
+        if len(pairs) > cap:
+            pairs = sorted(old.sample(pairs, cap))
+        assert cli._sample_pairs(new, count, cap) == pairs
+        assert new.random() == old.random()
+
+
+def test_edge2n_bound_beyond_the_tree_cap(tmp_path):
+    # 2^21 * 22 spanning trees, above the default vertex-enumeration cap.
+    u, v = ["21/2", "23/2"], ["1"] * 22
+    # The northwest corner, and the same fill with the columns reversed.
+    O = [["1"] * 10 + ["1/2"] + ["0"] * 11, ["0"] * 10 + ["1/2"] + ["1"] * 11]
+    F = [row[::-1] for row in O]
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps({"instance": {"u": u, "v": v}, "O": O, "F": F}))
+    rc, out, err = run(["walk", "--in", str(case), "--kind", "edge2n"])
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["bound"] == 22 and doc["valid"] and doc["pass"]
 
 
 @pytest.mark.parametrize("family,m", [("2xn", "3"), ("3xn", "2")])

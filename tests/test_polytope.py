@@ -15,6 +15,7 @@ from tpwalk import (
     critical_edges,
     enumerate_vertices,
     gen_coincide,
+    gen_diameter_n,
     gen_example1,
     gen_hirsch_sharp,
     hirsch_data,
@@ -150,6 +151,49 @@ def test_critical_edges_and_hirsch_data():
     cc = gen_coincide(3)
     assert set(critical_edges(cc.inst)) == {(0, 0), (1, 0)}
     assert hirsch_data(cc.inst) == HirschData(k=2, bound=2)
+
+
+def _scan_critical_edges(inst):
+    """Reference oracle: the support shared by every vertex. Linear minima
+    are attained at vertices, so these are the edges positive everywhere."""
+    verts = enumerate_vertices(inst)
+    out = verts[0].support
+    for a in verts:
+        out = out & a.support
+    return frozenset(out)
+
+
+@given(sixths_instances())
+@settings(deadline=None, max_examples=200)
+def test_critical_edges_match_vertex_scan(inst):
+    assume(tree_count(inst.m, inst.n) <= 2500)
+    assert critical_edges(inst) == _scan_critical_edges(inst)
+
+
+@pytest.mark.parametrize("inst", [
+    *(perturb(gen_hirsch_sharp(m, n), e).inst
+      for m, n in ((3, 3), (3, 4))
+      for e in ("1/2", "1/3", "1/7", "1/1024", f"1/{2 ** 60}")),
+    *(perturb(gen_example1(), e).inst for e in ("1/2", "1/64", f"1/{2 ** 60}")),
+    *(gen_coincide(n).inst for n in (2, 3, 4, 5)),
+    *(gen_diameter_n(n).inst for n in (3, 4, 5)),
+    gen_example1().inst,
+])
+def test_critical_edges_match_vertex_scan_named(inst):
+    assert critical_edges(inst) == _scan_critical_edges(inst)
+
+
+def test_critical_edges_beyond_the_tree_cap():
+    # 2^21 * 22 spanning trees: more than enumerate_vertices will walk.
+    inst = Instance((Fraction(21, 2), Fraction(23, 2)), (1,) * 22)
+    with pytest.raises(ResourceLimitError):
+        enumerate_vertices(inst)
+    assert critical_edges(inst) == frozenset()
+    assert hirsch_data(inst) == HirschData(k=0, bound=23)
+    # Row 1 carries 1/2 in all, so every column takes at least 1/2 from row 0.
+    inst = Instance((Fraction(43, 2), Fraction(1, 2)), (1,) * 22)
+    assert critical_edges(inst) == {(0, j) for j in range(22)}
+    assert hirsch_data(inst) == HirschData(k=22, bound=1)
 
 
 @given(st.integers(0, 10**6))
