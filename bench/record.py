@@ -7,11 +7,11 @@ one made by ``git archive``. For each workload named in the change's
 ``BENCHMARK.json`` and each seed in ``SEEDS`` and ``HELDOUT``,
 ``perfbench/run.py --trace 0`` runs once per side, the side that goes
 first alternating from seed to seed; the metrics are read from the last
-line of its stdout. Then each side gets
-one traced run (``--trace 1``) of the ``wide`` workload at seed 1, one
-Tier-1 pytest run and the fixed-seed sweeps in ``SWEEPS``, all timed;
-each sweep also records whether the two sides printed the same bytes
-(``same_stdout``).
+line of its stdout. Then each side gets one traced run (``--trace 1``)
+of every workload at ``TRACED_SEED``, which shows the layer the time
+went to, one Tier-1 pytest run and the fixed-seed sweeps in ``SWEEPS``,
+all timed; each sweep also records whether the two sides printed the
+same bytes (``same_stdout``).
 
 For each workload and end-to-end metric the summary gives each side's
 median and quartiles over the seeds, and how many pairs the change won
@@ -37,7 +37,7 @@ HELDOUT = 7919                # perfbench's held-out seed
 # A third of BENCHMARK.json's run_seconds: the 66 paired runs then take
 # about 20 minutes on two cores.
 SECONDS = 10.0
-TRACED = ("wide", 1)
+TRACED_SEED = 1
 SWEEPS = (
     ["sweep", "--family", "2xn", "--count", "50", "--seed", "0"],
     ["sweep", "--family", "3xn", "--count", "20", "--seed", "0"],
@@ -123,13 +123,14 @@ def main(argv=None) -> int:
             "summary": summarize(pairs[:-1], better),
         }
 
-    workload, seed = TRACED
-    record["traced"] = {"workload": workload, "seed": seed}
-    for side in SIDES:
-        run = bench(roots[side], workload, seed, SECONDS, 1)
-        run["metrics"] = {k: v for k, v in run["metrics"].items()
-                          if k.endswith((".s", ".calls", "self_frac"))}
-        record["traced"][side] = run
+    record["traced"] = {"seed": TRACED_SEED, "workloads": {}}
+    for spec_w in spec["workloads"]:
+        traced = record["traced"]["workloads"][spec_w["name"]] = {}
+        for side in SIDES:
+            run = bench(roots[side], spec_w["name"], TRACED_SEED, SECONDS, 1)
+            run["metrics"] = {k: v for k, v in run["metrics"].items()
+                              if k.endswith((".s", ".calls", "self_frac"))}
+            traced[side] = run
     record["tier1"] = {}
     for side in SIDES:
         proc, s = timed(roots[side], [sys.executable, "-m", "pytest", "-q",

@@ -11,7 +11,7 @@ doubles as the resource guard for enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial
@@ -43,16 +43,29 @@ class CircuitSet:
     """All unoriented circuits of K_{m,n}, one canonical orientation each.
 
     The stored orientation is the one with the lexicographically smaller
-    signed incidence vector; the other is reachable via negation.
+    signed incidence vector; the other is reachable via negation. Each
+    circuit is compiled once, at construction, into its increased and
+    decreased cells as row-major indices i*n + j; the reverse orientation
+    is the same pair swapped.
     """
 
     m: int
     n: int
     circuits: tuple[Circuit, ...]
+    _flat: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = field(
+        init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(set(self.circuits)) != len(self.circuits):
             raise TransportError("duplicate circuits")
+        m, n = self.m, self.n
+        if any(max(g.supplies) >= m or max(g.demands) >= n for g in self.circuits):
+            raise TransportError(f"a circuit leaves the {m}x{n} grid")
+        object.__setattr__(self, "_flat", tuple(
+            (tuple(i * n + j for i, j in g.increased()),
+             tuple(i * n + j for i, j in g.decreased()))
+            for g in self.circuits
+        ))
 
     def __len__(self) -> int:
         return len(self.circuits)
@@ -65,6 +78,10 @@ class CircuitSet:
         for g in self.circuits:
             yield g
             yield -g
+
+    def flat(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """(increased, decreased) flat cell indices, one pair per circuit."""
+        return self._flat
 
 
 def enumerate_circuits(m: int, n: int, cap: int = 10**6) -> CircuitSet:

@@ -1,8 +1,11 @@
 """Exact building blocks for flows on the complete bipartite graph K_{m,n}.
 
 Margins, flow matrices, support graphs, circuits (signed even cycles) and
-circuit walks, all over ``fractions.Fraction``. Nothing in this package
-rounds, ever; equality checks downstream rely on that.
+circuit walks. The API holds exact rationals (``fractions.Fraction``);
+the circuit oracles and the non-degeneracy check scale their inputs once
+by the least common denominator (``lcd_scale``) and work on exact
+integers inside. Nothing in this package rounds, ever; equality checks
+downstream rely on that.
 
 Indices are 0-based throughout the library and only converted to 1-based
 at the serialization boundary.
@@ -12,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from types import MappingProxyType
 
 Edge = tuple[int, int]
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -54,6 +59,16 @@ def parse_rational(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x.strip())
     raise TransportError(f"cannot read a rational from {x!r}")
+
+
+def lcd_scale(xs) -> list[int]:
+    """The Fractions xs times their least common denominator, as ints.
+
+    The scaling is one positive factor for all of xs, so it keeps every
+    order, sign, sum and equality among them.
+    """
+    d = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs]
 
 
 def format_rational(q: Fraction) -> str:
@@ -194,13 +209,15 @@ class Circuit:
     indices cyclic. Stored in canonical rotation (lexicographically smallest
     pair sequence), so structural equality is orientation-true semantic
     equality. The reverse orientation is a distinct circuit; see __neg__.
-    Its increased and decreased edges are derived once, at construction.
+    Its increased and decreased edges and its sign map are derived once,
+    at construction.
     """
 
     supplies: tuple[int, ...]
     demands: tuple[int, ...]
     _increased: tuple[Edge, ...] = field(init=False, compare=False, repr=False)
     _decreased: tuple[Edge, ...] = field(init=False, compare=False, repr=False)
+    _signs: dict[Edge, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         s = tuple(int(x) for x in self.supplies)
@@ -223,6 +240,8 @@ class Circuit:
         object.__setattr__(
             self, "_decreased", tuple((s[(l + 1) % k], d[l]) for l in range(k))
         )
+        object.__setattr__(self, "_signs", dict.fromkeys(self._increased, 1)
+                           | dict.fromkeys(self._decreased, -1))
 
     @property
     def k(self) -> int:
@@ -237,15 +256,14 @@ class Circuit:
     def edges(self) -> frozenset[Edge]:
         return frozenset(self.increased()) | frozenset(self.decreased())
 
-    def signs(self) -> dict[Edge, int]:
-        out = {e: 1 for e in self.increased()}
-        out.update({e: -1 for e in self.decreased()})
-        return out
+    def signs(self) -> MappingProxyType:
+        """Edge -> +1 or -1, a read-only view of the map built once."""
+        return MappingProxyType(self._signs)
 
     def vector(self, m: int, n: int) -> tuple[int, ...]:
         """Signed incidence vector, flattened row-major."""
         flat = [0] * (m * n)
-        for (i, j), sg in self.signs().items():
+        for (i, j), sg in self._signs.items():
             if i >= m or j >= n:
                 raise TransportError(f"circuit node ({i},{j}) outside {m}x{n}")
             flat[i * n + j] = sg

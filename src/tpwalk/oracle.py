@@ -7,13 +7,16 @@ one cycle, tested for every pair after an exact edge-count prefilter)
 and runs BFS on it. The vertex set and the graph are computed once per
 Instance object and held by it (freed with it by the cycle collector),
 so each further distance is one BFS. Equal but distinct Instance
-objects share nothing. The maximal-step distance runs BFS over exact
-flow states. The unrestricted circuit distance reduces to linear
-algebra: a difference vector is reachable in k unrestricted steps iff
-it lies in the span of at most k circuits, since orientations absorb
-signs and zero coefficients shrink the set. The span
-search works in kernel coordinates, dimension (m-1)(n-1), with a
-fraction-free integer echelon that is extended one row at a time.
+objects share nothing. Points enter as exact rationals; the two circuit
+oracles scale them once by their least common denominator and search
+over exact integers. The maximal-step distance runs BFS over flat
+integer flow states, stepping by each circuit's compiled cells. The
+unrestricted circuit distance reduces to linear algebra: a difference
+vector is reachable in k unrestricted steps iff it lies in the span of
+at most k circuits, since orientations absorb signs and zero
+coefficients shrink the set. The span search works in kernel
+coordinates, dimension (m-1)(n-1), with a fraction-free integer echelon
+that is extended one row at a time.
 """
 
 from __future__ import annotations
@@ -24,14 +27,13 @@ from math import gcd
 from .core import (
     Assignment,
     Instance,
-    Matrix,
     ResourceLimitError,
     TransportError,
     UnreachableCaseError,
     _cycle_count,
-    apply_circuit,
+    lcd_scale,
 )
-from .circuits import CircuitSet, enumerate_circuits, max_step
+from .circuits import CircuitSet, enumerate_circuits
 from .polytope import VertexSet, enumerate_vertices
 
 
@@ -146,6 +148,19 @@ def graph_diameter(inst: Instance, cap_trees: int = 10**7) -> int:
     return graph_distance_table(inst, cap_trees=cap_trees).diameter
 
 
+def _circuit_set(inst: Instance, circuits: CircuitSet | None) -> CircuitSet:
+    """The given set, refused unless it has the instance's shape, or
+    every circuit of that shape when None."""
+    if circuits is None:
+        return enumerate_circuits(inst.m, inst.n)
+    if (circuits.m, circuits.n) != (inst.m, inst.n):
+        raise TransportError(
+            f"a {circuits.m}x{circuits.n} circuit set cannot serve a "
+            f"{inst.m}x{inst.n} instance"
+        )
+    return circuits
+
+
 def cdfm_distance(
     O: Assignment,
     F: Assignment,
@@ -155,30 +170,43 @@ def cdfm_distance(
 ) -> int | None:
     """Minimum number of maximal feasible steps from O to F.
 
-    BFS over flow matrices; each transition applies one applicable
+    BFS over flow states; each transition applies one applicable
     oriented circuit at its full step length. Returns None when no walk
     of length <= depth_cap (default m+n) exists.
+
+    The states are the entries of O and F scaled once by their least
+    common denominator, as flat row-major int tuples. A maximal step is
+    the least entry on the circuit's decreased cells, so every reachable
+    state stays integral, and the scaling is a bijection on states.
     """
     if O.inst != F.inst:
         raise TransportError("distance needs a common instance")
     inst = O.inst
     if depth_cap is None:
         depth_cap = inst.m + inst.n
-    cs = circuits if circuits is not None else enumerate_circuits(inst.m, inst.n)
-    oriented = list(cs.oriented())
-    goal = F.flows
-    if O.flows == goal:
+    moves = []
+    for inc, dec in _circuit_set(inst, circuits).flat():
+        moves += ((inc, dec), (dec, inc))
+    size = inst.m * inst.n
+    cells = lcd_scale([x for a in (O, F) for row in a.flows for x in row])
+    start, goal = tuple(cells[:size]), tuple(cells[size:])
+    if start == goal:
         return 0
-    seen: set[Matrix] = {O.flows}
-    frontier: list[Matrix] = [O.flows]
+    seen = {start}
+    frontier = [start]
     for depth in range(1, depth_cap + 1):
-        nxt: list[Matrix] = []
+        nxt = []
         for y in frontier:
-            for g in oriented:
-                a = max_step(y, g)
-                if a is None:
+            for inc, dec in moves:
+                a = min([y[k] for k in dec])
+                if a <= 0:
                     continue
-                z = apply_circuit(y, g, a)
+                z = list(y)
+                for k in inc:
+                    z[k] += a
+                for k in dec:
+                    z[k] -= a
+                z = tuple(z)
                 if z == goal:
                     return depth
                 if z not in seen:
@@ -235,8 +263,10 @@ def cd_at_most(
     subtree. One more circuit reaches the target iff some candidate lies
     on the target's line; two more iff two candidates on distinct lines
     fall on one line once the target's pivot is eliminated too. Deeper
-    choices pass a support-coverage prune. Exact throughout; a solve is
-    one candidate elimination.
+    choices pass a support-coverage prune. Exact throughout: the
+    difference is scaled once by its least common denominator, and the
+    candidates come from the set's compiled cells. A solve is one
+    candidate elimination.
     """
     if O.inst != F.inst:
         raise TransportError("distance needs a common instance")
@@ -246,40 +276,28 @@ def cd_at_most(
         raise TransportError("k must be nonnegative")
     if k > m + n - 1:
         raise TransportError(f"k={k} above the hard bound {m + n - 1}")
-    diff = [
-        [F.flows[i][j] - O.flows[i][j] for j in range(n)] for i in range(m)
-    ]
-    if all(x == 0 for row in diff for x in row):
+    cs = _circuit_set(inst, circuits)
+    diff = lcd_scale([
+        b - a for ra, rb in zip(O.flows, F.flows) for a, b in zip(ra, rb)
+    ])
+    if not any(diff):
         return True
     if k == 0:
         return False
 
-    cs = circuits if circuits is not None else enumerate_circuits(m, n)
     # Kernel coordinates: a margin-neutral vector is determined by its
     # entries on the first m-1 rows and n-1 columns.
-    coords = [(i, j) for i in range(m - 1) for j in range(n - 1)]
-    scale = 1
-    for row in diff:
-        for x in row:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-    target = _normalize_row(
-        [int(diff[i][j] * scale) for i, j in coords]
-    )
+    coords = [i * n + j for i in range(m - 1) for j in range(n - 1)]
+    target = _normalize_row([diff[c] for c in coords])
     if target is None:
         raise UnreachableCaseError("nonzero difference projected to zero")
-    target_mask = 0
-    for i in range(m):
-        for j in range(n):
-            if diff[i][j] != 0:
-                target_mask |= 1 << (i * n + j)
+    target_mask = sum(1 << c for c, x in enumerate(diff) if x)
 
     cands = []
-    for g in cs:
-        signs = g.signs()
-        mask = 0
-        for i, j in signs:
-            mask |= 1 << (i * n + j)
-        cands.append((_normalize_row([signs.get(e, 0) for e in coords]), mask))
+    for inc, dec in cs.flat():
+        sign = dict.fromkeys(inc, 1) | dict.fromkeys(dec, -1)
+        cands.append((_normalize_row([sign.get(c, 0) for c in coords]),
+                      sum(1 << c for c in sign)))
     max_support = 2 * min(m, n)
     solves = 0
     deepest = 0
@@ -337,7 +355,7 @@ def cd_minimum(
 ) -> int:
     """Smallest k with cd_at_most(O, F, k)."""
     inst = O.inst
-    cs = circuits if circuits is not None else enumerate_circuits(inst.m, inst.n)
+    cs = _circuit_set(inst, circuits)
     for k in range(inst.m + inst.n):
         if cd_at_most(O, F, k, cap_solves=cap_solves, circuits=cs):
             return k

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 from .core import (
     Assignment,
@@ -29,6 +28,7 @@ from .core import (
     _cycle_count,
     _find,
     apply_circuit,
+    lcd_scale,
 )
 
 
@@ -43,9 +43,8 @@ def is_nondegenerate(inst: Instance) -> bool:
     is O((m+n) * min(2^max(m,n), T)) set operations, never more than
     listing the 2^m + 2^n subsets.
     """
-    d = lcm(*(x.denominator for x in inst.u + inst.v))
-    u = [x.numerator * (d // x.denominator) for x in inst.u]
-    v = [x.numerator * (d // x.denominator) for x in inst.v]
+    scaled = lcd_scale(inst.u + inst.v)
+    u, v = scaled[:inst.m], scaled[inst.m:]
     half = sum(u) // 2
     return _subset_sums(u, half) & _subset_sums(v, half) == {0}
 

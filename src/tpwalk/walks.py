@@ -34,10 +34,11 @@ class WalkReport:
             raise TransportError("a valid report cannot carry a violation")
 
 
-def _is_vertex_point(inst: Instance, point) -> bool:
+def _is_vertex_point(inst: Instance, point, support) -> bool:
+    """point, with its support, is nonnegative and has a forest support."""
     if any(x < 0 for row in point for x in row):
         return False
-    return _cycle_count(support_graph(point), inst.m, inst.n) == 0
+    return _cycle_count(support, inst.m, inst.n) == 0
 
 
 def validate_walk(w: Walk, inst: Instance) -> WalkReport:
@@ -63,9 +64,13 @@ def validate_walk(w: Walk, inst: Instance) -> WalkReport:
     cols = [sum(row[j] for row in start) for j in range(n)]
     if [sum(row) for row in start] != list(inst.u) or cols != list(inst.v):
         return bad(0, "point 0 violates the margins")
-    if not _is_vertex_point(inst, start):
+    # Each support is found once: every point's for CD_e, whose adjacency
+    # test needs them all, and otherwise the two endpoints'.
+    held = w.points if kind == "CD_e" else (start, w.points[-1])
+    supports = [support_graph(point) for point in held]
+    if not _is_vertex_point(inst, start, supports[0]):
         return bad(0, "start point is not a vertex")
-    if not _is_vertex_point(inst, w.points[-1]):
+    if not _is_vertex_point(inst, w.points[-1], supports[-1]):
         return bad(max(len(w.steps) - 1, 0), "end point is not a vertex")
 
     if kind in ("CD_f", "CD_fm", "CD_e", "CD_s"):
@@ -83,11 +88,11 @@ def validate_walk(w: Walk, inst: Instance) -> WalkReport:
 
     if kind == "CD_e":
         # The same forest test and one-cycle adjacency test as
-        # Assignment.is_vertex and are_adjacent, on supports found once.
-        supports = [support_graph(point) for point in w.points]
-        for p, sup in enumerate(supports):
-            if _cycle_count(sup, m, n) != 0:
-                return bad(max(p - 1, 0), f"point {p} is not a vertex")
+        # Assignment.is_vertex and are_adjacent. The endpoints passed the
+        # forest test above.
+        for p in range(1, len(supports) - 1):
+            if _cycle_count(supports[p], m, n) != 0:
+                return bad(p - 1, f"point {p} is not a vertex")
         for idx in range(len(w.steps)):
             if _cycle_count(supports[idx] | supports[idx + 1], m, n) != 1:
                 return bad(idx, f"step {idx} jumps between non-adjacent vertices")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tpwalk import (
     Circuit,
+    CircuitSet,
     Decomposition,
     TransportError,
     apply_circuit,
@@ -35,6 +36,28 @@ def test_enumerate_matches_count(m, n):
     assert len(cs) == circuit_count(m, n)
     assert len(set(cs)) == len(cs)
     assert len(list(cs.oriented())) == 2 * len(cs)
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 4)])
+def test_circuit_set_compiles_flat_cells(m, n):
+    cs = enumerate_circuits(m, n)
+    assert len(cs.flat()) == len(cs)
+    for g, (inc, dec) in zip(cs, cs.flat()):
+        vec = [0] * (m * n)
+        for c in inc:
+            vec[c] += 1
+        for c in dec:
+            vec[c] -= 1
+        assert tuple(vec) == g.vector(m, n)
+        # The swapped pair is the reverse orientation.
+        assert tuple(-x for x in vec) == (-g).vector(m, n)
+
+
+def test_circuit_set_refuses_circuits_off_its_grid():
+    with pytest.raises(TransportError, match="leaves the 2x3 grid"):
+        CircuitSet(2, 3, enumerate_circuits(3, 3).circuits)
+    with pytest.raises(TransportError, match="leaves the 3x3 grid"):
+        CircuitSet(3, 3, enumerate_circuits(2, 4).circuits)
 
 
 def test_enumerate_2x3_explicit():

@@ -110,7 +110,10 @@ def test_circuit_rotation_normal_form():
     ng = -g
     assert set(ng.increased()) == {(0, 0), (1, 1)}
     assert g.decreased() is g.decreased() and g.increased() is g.increased()
-    assert g.signs() is not g.signs()
+    assert g.signs() is not g.signs() and g.signs() == g.signs()
+    with pytest.raises(TypeError):
+        g.signs()[(0, 0)] = 1
+    assert g.signs() == {(0, 1): 1, (1, 0): 1, (0, 0): -1, (1, 1): -1}
     assert hash(Circuit((1, 0), (0, 1))) == hash(g) and repr(g) == (
         "Circuit(supplies=(0, 1), demands=(1, 0))")
 

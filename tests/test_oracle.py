@@ -11,6 +11,7 @@ from tpwalk import (
     ResourceLimitError,
     TransportError,
     VertexSet,
+    apply_circuit,
     are_adjacent,
     cd_at_most,
     cd_minimum,
@@ -24,6 +25,8 @@ from tpwalk import (
     graph_diameter,
     graph_distance,
     graph_distance_table,
+    is_nondegenerate,
+    max_step,
     neighbor_graph,
     perturb,
     random_instance,
@@ -293,3 +296,169 @@ def test_cd_matches_subset_reference():
             assert cd_at_most(O, F, want, circuits=rotated), r
             if want:
                 assert not cd_at_most(O, F, want - 1, circuits=rotated), r
+
+
+def _reference_cdfm(O, F, depth_cap=None, cap_states=10**6, circuits=None):
+    """The maximal-step BFS over Fraction matrices, with both orientations
+    of every circuit built as Circuit objects and stepped by max_step and
+    apply_circuit."""
+    inst = O.inst
+    if depth_cap is None:
+        depth_cap = inst.m + inst.n
+    cs = circuits if circuits is not None else enumerate_circuits(inst.m, inst.n)
+    oriented = list(cs.oriented())
+    goal = F.flows
+    if O.flows == goal:
+        return 0
+    seen = {O.flows}
+    frontier = [O.flows]
+    for depth in range(1, depth_cap + 1):
+        nxt = []
+        for y in frontier:
+            for g in oriented:
+                a = max_step(y, g)
+                if a is None:
+                    continue
+                z = apply_circuit(y, g, a)
+                if z == goal:
+                    return depth
+                if z not in seen:
+                    seen.add(z)
+                    nxt.append(z)
+        if len(seen) > cap_states:
+            raise ResourceLimitError(
+                f"maximal-step state space exceeded {cap_states} states"
+            )
+        if not nxt:
+            return None
+        frontier = nxt
+    return None
+
+
+def _balanced_margins(rng, m, n, high):
+    """Balanced integer margins in [1, high], degenerate or not."""
+    while True:
+        u = [rng.randint(1, high) for _ in range(m)]
+        v = [rng.randint(1, high) for _ in range(n)]
+        if sum(u) == sum(v):
+            return Instance(u, v)
+
+
+def _cdfm_reference_instances():
+    # Every ordered vertex pair is searched without a depth cap, so the
+    # 3x4 cases keep to small margins and few vertices.
+    rng = random.Random("cdfm-reference")
+    for m, n in ((2, 3), (2, 4), (3, 3)):
+        yield _balanced_margins(rng, m, n, 6)
+        yield random_instance(rng, m, n)
+    yield _balanced_margins(rng, 3, 4, 2)
+    yield perturb(gen_hirsch_sharp(3, 3), Fraction(1, 1024)).inst
+
+
+def test_cdfm_matches_fraction_reference_on_every_pair():
+    insts = list(_cdfm_reference_instances())
+    assert {is_nondegenerate(inst) for inst in insts} == {True, False}
+    for inst in insts:
+        verts = enumerate_vertices(inst)
+        cs = enumerate_circuits(inst.m, inst.n)
+        for O in verts:
+            for F in verts:
+                want = _reference_cdfm(O, F, circuits=cs)
+                assert cdfm_distance(O, F, circuits=cs) == want, (O.flows, F.flows)
+                if want and want > 1:
+                    for cap in (want - 1, want):
+                        got = cdfm_distance(O, F, depth_cap=cap, circuits=cs)
+                        assert got == _reference_cdfm(O, F, depth_cap=cap, circuits=cs)
+                        assert got == (want if cap == want else None)
+
+
+def test_cdfm_matches_fraction_reference_on_perturbed_sharp_3x4():
+    sharp = perturb(gen_hirsch_sharp(3, 4), Fraction(1, 1024))
+    verts = enumerate_vertices(sharp.inst)
+    table = graph_distance_table(sharp.inst)
+    cs = enumerate_circuits(3, 4)
+    rng = random.Random("cdfm-sharp3x4")
+    near = [(a, b) for a in range(len(verts)) for b in range(len(verts))
+            if a != b and table.distance(a, b) <= 2]
+    for a, b in rng.sample(near, 12):
+        want = _reference_cdfm(verts[a], verts[b], circuits=cs)
+        assert want is not None
+        assert cdfm_distance(verts[a], verts[b], circuits=cs) == want
+    # O to F needs six maximal steps; a cap of three stops both searches.
+    for cap in (2, 3):
+        assert cdfm_distance(sharp.O, sharp.F, depth_cap=cap, circuits=cs) is None
+        assert _reference_cdfm(sharp.O, sharp.F, depth_cap=cap, circuits=cs) is None
+
+
+def _mix(inst, a, b, t):
+    """The point (1 - t) a + t b, not a vertex for 0 < t < 1."""
+    return Assignment(inst, [[(1 - t) * x + t * y for x, y in zip(ra, rb)]
+                             for ra, rb in zip(a.flows, b.flows)])
+
+
+def test_cdfm_matches_fraction_reference_from_non_vertex_points():
+    found = 0
+    for inst in (gen_example1().inst, Instance((1, 46, 27), (12, 38, 24)),
+                 Instance((2, 2, 1), (1, 1, 2, 1))):
+        verts = enumerate_vertices(inst)
+        cs = enumerate_circuits(inst.m, inst.n)
+        for t in (Fraction(1, 2), Fraction(1, 3)):
+            for a in range(3):
+                b = (a + 1) % len(verts)
+                start = _mix(inst, verts[a], verts[b], t)
+                assert not start.is_vertex()
+                for F in (verts[0], verts[-1], start):
+                    want = _reference_cdfm(start, F, circuits=cs)
+                    assert cdfm_distance(start, F, circuits=cs) == want
+                    found += want is not None
+                want = _reference_cdfm(verts[0], start, circuits=cs)
+                assert cdfm_distance(verts[0], start, circuits=cs) == want
+    assert found
+
+
+def test_cdfm_cap_states_boundary_matches_reference():
+    cc = gen_coincide(4)
+
+    def passes(cap):
+        try:
+            _reference_cdfm(cc.O, cc.F, cap_states=cap)
+        except ResourceLimitError:
+            return False
+        return True
+
+    lo, hi = 0, 10**6
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if passes(mid) else (mid + 1, hi)
+    assert lo > 1 and not passes(lo - 1)
+    assert cdfm_distance(cc.O, cc.F, cap_states=lo) == _reference_cdfm(cc.O, cc.F) == 3
+    with pytest.raises(ResourceLimitError, match=f"exceeded {lo - 1} states"):
+        cdfm_distance(cc.O, cc.F, cap_states=lo - 1)
+
+
+@pytest.fixture(scope="module")
+def sharp3x4():
+    return perturb(gen_hirsch_sharp(3, 4), Fraction(1, 1024))
+
+
+# A 3x3 set shares the rows but not the columns: flat indices i*n + j
+# would read the wrong cells.
+WRONG_SHAPES = [(2, 3), (3, 3), (4, 4)]
+
+
+@pytest.mark.parametrize("shape", WRONG_SHAPES, ids=["2x3", "3x3", "4x4"])
+def test_cdfm_refuses_a_circuit_set_of_another_shape(sharp3x4, shape):
+    with pytest.raises(TransportError, match="circuit set cannot serve a 3x4"):
+        cdfm_distance(sharp3x4.O, sharp3x4.F, circuits=enumerate_circuits(*shape))
+
+
+@pytest.mark.parametrize("shape", WRONG_SHAPES, ids=["2x3", "3x3", "4x4"])
+def test_cd_at_most_refuses_a_circuit_set_of_another_shape(sharp3x4, shape):
+    with pytest.raises(TransportError, match="circuit set cannot serve a 3x4"):
+        cd_at_most(sharp3x4.O, sharp3x4.F, 3, circuits=enumerate_circuits(*shape))
+
+
+@pytest.mark.parametrize("shape", WRONG_SHAPES, ids=["2x3", "3x3", "4x4"])
+def test_cd_minimum_refuses_a_circuit_set_of_another_shape(sharp3x4, shape):
+    with pytest.raises(TransportError, match="circuit set cannot serve a 3x4"):
+        cd_minimum(sharp3x4.O, sharp3x4.F, circuits=enumerate_circuits(*shape))
