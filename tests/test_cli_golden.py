@@ -27,10 +27,19 @@ EX1 = ["--gen", "example1"]
 # the same on every machine; run() resolves them.
 CASE_3X3 = "golden/marking3x3.json"
 CASE_3X9 = "golden/marking3x9.json"
+# Degenerate: 14 vertices from 26 feasible bases.
+DEG = ["--u", "1,3,4", "--v", "2,3,3"]
+# Non-degenerate, drawn by random_instance(Random("golden4x4:1"), 4, 4).
+R4X4 = ["--u", "4,13,47,23", "--v", "7,11,35,34"]
 COMMANDS = {
     "gen-example1": ["gen", *EX1],
     "vertices-example1": ["vertices", *EX1],
     "adjacency-example1": ["adjacency", *EX1],
+    "vertices-134-233": ["vertices", *DEG],
+    "adjacency-134-233": ["adjacency", *DEG],
+    "vertices-4x4": ["vertices", *R4X4],
+    "adjacency-4x4": ["adjacency", *R4X4],
+    "diameter-4x4": ["diameter", *R4X4],
     "diameter-coincide3": ["diameter", "--gen", "coincide", "--n", "3"],
     "walk-cdfm": ["walk", *EX1, "--kind", "cdfm"],
     "walk-edge2n": ["walk", *EX1, "--kind", "edge2n"],
