@@ -253,9 +253,6 @@ class Circuit:
     def decreased(self) -> tuple[Edge, ...]:
         return self._decreased
 
-    def edges(self) -> frozenset[Edge]:
-        return frozenset(self.increased()) | frozenset(self.decreased())
-
     def signs(self) -> MappingProxyType:
         """Edge -> +1 or -1, a read-only view of the map built once."""
         return MappingProxyType(self._signs)

@@ -1,22 +1,19 @@
 """Brute-force distance oracles, independent of the constructive walks.
 
-Three notions, three engines. Skeleton distance enumerates every vertex
-by spanning-tree search, builds the whole neighbor graph by one rule
-(two vertices are adjacent iff the union of their supports has exactly
-one cycle, tested for every pair after an exact edge-count prefilter)
-and runs BFS on it. The vertex set and the graph are computed once per
-Instance object and held by it (freed with it by the cycle collector),
-so each further distance is one BFS. Equal but distinct Instance
-objects share nothing. Points enter as exact rationals; the two circuit
-oracles scale them once by their least common denominator and search
-over exact integers. The maximal-step distance runs BFS over flat
-integer flow states, stepping by each circuit's compiled cells. The
-unrestricted circuit distance reduces to linear algebra: a difference
-vector is reachable in k unrestricted steps iff it lies in the span of
-at most k circuits, since orientations absorb signs and zero
-coefficients shrink the set. The span search works in kernel
-coordinates, dimension (m-1)(n-1), with a fraction-free integer echelon
-that is extended one row at a time.
+Three notions, three engines. Skeleton distance is BFS on the neighbor
+graph that enumerate_vertices builds in the same pivot search as the
+vertex set; both are held by the Instance object (freed with it by the
+cycle collector), so each further distance is one BFS. Equal but
+distinct Instance objects share nothing. Points enter as exact
+rationals; the two circuit oracles scale them once by their least
+common denominator and search over exact integers. The maximal-step
+distance runs BFS over flat integer flow states, stepping by each
+circuit's compiled cells. The unrestricted circuit distance reduces to
+linear algebra: a difference vector is reachable in k unrestricted
+steps iff it lies in the span of at most k circuits, since orientations
+absorb signs and zero coefficients shrink the set. The span search
+works in kernel coordinates, dimension (m-1)(n-1), with a fraction-free
+integer echelon that is extended one row at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from .core import (
     ResourceLimitError,
     TransportError,
     UnreachableCaseError,
-    _cycle_count,
     lcd_scale,
 )
 from .circuits import CircuitSet, enumerate_circuits
@@ -65,11 +61,10 @@ class DistanceTable:
 def neighbor_graph(verts: VertexSet) -> list[list[int]]:
     """Adjacency lists over vertex indices, each sorted.
 
-    Two vertices are adjacent iff the union of their supports has exactly
-    one cycle, on degenerate and non-degenerate instances alike. The
-    graph of an instance's enumerated vertex set is built once; each call
-    returns fresh lists. A hand-built set gets the graph it induces, which
-    may be disconnected.
+    The graph comes from the pivot search of enumerate_vertices and is
+    held by the instance; each call returns fresh lists. A hand-built set
+    gets the subgraph it induces, which may be disconnected; building it
+    enumerates the instance, under the default cap_trees.
     """
     return [list(row) for row in _adjacency(verts)]
 
@@ -77,37 +72,15 @@ def neighbor_graph(verts: VertexSet) -> list[list[int]]:
 def _adjacency(verts: VertexSet) -> tuple[tuple[int, ...], ...]:
     """The neighbor graph, held by the instance beside its vertex set."""
     held = verts.inst._derived
-    if held.get("vertices") is not verts:
-        return _build_graph(verts)
-    if "graph" not in held:
-        graph = _build_graph(verts)
-        if any(d < 0 for d in _bfs(graph, 0)):
-            raise UnreachableCaseError("vertex graph is disconnected")
-        held["graph"] = graph
-    return held["graph"]
-
-
-def _build_graph(verts: VertexSet) -> tuple[tuple[int, ...], ...]:
-    """Pairwise one-cycle tests, all pairs of the set.
-
-    A subgraph of K_{m,n} with E edges and c >= 1 components has
-    E - (m+n) + c independent cycles, so a union of more than m+n edges
-    has at least two and the pair is skipped on an edge count alone.
-    """
-    inst = verts.inst
-    m, n = inst.m, inst.n
-    if any(a.inst != inst or not a.is_vertex() for a in verts):
-        raise TransportError("a vertex set holds only vertices of its instance")
-    sups = [a.support for a in verts]
-    masks = [sum(1 << (i * n + j) for i, j in sup) for sup in sups]
-    out = [[] for _ in sups]
-    for a, (sup, mask) in enumerate(zip(sups, masks)):
-        for b in range(a + 1, len(sups)):
-            if ((mask | masks[b]).bit_count() <= m + n
-                    and _cycle_count(sup | sups[b], m, n) == 1):
-                out[a].append(b)
-                out[b].append(a)
-    return tuple(tuple(row) for row in out)
+    if held.get("vertices") is verts:
+        return held["graph"]
+    full = enumerate_vertices(verts.inst)
+    old = [full.index_of(a) for a in verts]
+    where: dict[int, list[int]] = {}
+    for pos, p in enumerate(old):
+        where.setdefault(p, []).append(pos)
+    return tuple(tuple(sorted(b for q in held["graph"][p] for b in where.get(q, ())))
+                 for p in old)
 
 
 def _bfs(adj: list[list[int]], source: int) -> list[int]:
@@ -145,7 +118,9 @@ def graph_distance_table(inst: Instance, cap_trees: int = 10**7) -> DistanceTabl
 
 
 def graph_diameter(inst: Instance, cap_trees: int = 10**7) -> int:
-    return graph_distance_table(inst, cap_trees=cap_trees).diameter
+    """The largest skeleton distance, by one BFS per vertex."""
+    adj = _adjacency(enumerate_vertices(inst, cap_trees=cap_trees))
+    return max(max(_bfs(adj, a)) for a in range(len(adj)))
 
 
 def _circuit_set(inst: Instance, circuits: CircuitSet | None) -> CircuitSet:

@@ -1,9 +1,10 @@
 """Vertex structure of transportation polytopes.
 
 Non-degeneracy (exact subset sums of the LCD-scaled integer margins,
-pseudo-polynomial in their total), vertex enumeration by spanning-tree
-search, skeleton adjacency (unique cycle in the union of two forest
-supports), critical edges and the resulting pivot bound m+n-1-k.
+pseudo-polynomial in their total), the vertices and the skeleton graph
+from one pivot search over feasible bases, adjacency of two vertices
+(unique cycle in the union of their supports), critical edges and the
+resulting pivot bound m+n-1-k.
 
 Critical edges need no enumeration: row i and column j share only cell
 (i, j), so every feasible y has y_ij >= u_i + v_j - T (T the margin total),
@@ -26,7 +27,6 @@ from .core import (
     ResourceLimitError,
     TransportError,
     _cycle_count,
-    _find,
     apply_circuit,
     lcd_scale,
 )
@@ -65,59 +65,54 @@ def northwest_corner(inst: Instance) -> Assignment:
 def _northwest_fill(inst: Instance, cols) -> Assignment:
     """The northwest-corner rule with the columns taken in the order
     cols. Any order gives a staircase support, so always a vertex."""
-    m, n = inst.m, inst.n
-    grid = [[Fraction(0)] * n for _ in range(m)]
-    ru, rv = list(inst.u), list(inst.v)
+    grid = [[Fraction(0)] * inst.n for _ in range(inst.m)]
+    for i, j, x in _northwest_cells(inst.u, inst.v, cols):
+        grid[i][j] = x
+    return Assignment(inst, grid)
+
+
+def _northwest_cells(u, v, cols):
+    """The cells (i, j, amount) the northwest-corner rule fills on margins
+    u and v, columns in the order cols: a staircase of m + n - 1 cells,
+    so a spanning tree of K_{m,n}, with zero amounts on degenerate ties."""
+    m, n = len(u), len(cols)
+    ru, rv = list(u), list(v)
     i = pos = 0
     while i < m and pos < n:
         j = cols[pos]
         x = min(ru[i], rv[j])
-        grid[i][j] = x
+        yield i, j, x
         ru[i] -= x
         rv[j] -= x
         if ru[i] == 0 and i < m - 1:
             i += 1
         else:
             pos += 1
-    return Assignment(inst, grid)
 
 
 def _solve_tree(inst: Instance, edges) -> Matrix | None:
-    """Unique flow on a spanning tree, or None if some entry goes negative."""
-    edges = sorted(edges)
+    """Unique flow on a forest of cells, or None if some entry goes
+    negative or the margins are not met. Leaves are peeled one at a time:
+    a leaf's one cell carries the leaf's remaining margin."""
     m, n = inst.m, inst.n
-    size = m + n
-    adj: list[list[int]] = [[] for _ in range(size)]
-    for idx, (i, j) in enumerate(edges):
-        adj[i].append(idx)
-        adj[m + j].append(idx)
-    deg = [len(a) for a in adj]
+    live: list[set[int]] = [set() for _ in range(m + n)]
+    for i, j in edges:
+        live[i].add(m + j)
+        live[m + j].add(i)
     rem = list(inst.u) + list(inst.v)
     grid = [[Fraction(0)] * n for _ in range(m)]
-    done = [False] * len(edges)
-    leaves = [x for x in range(size) if deg[x] == 1]
+    leaves = [x for x in range(m + n) if len(live[x]) == 1]
     while leaves:
-        node = leaves.pop()
-        live = [e for e in adj[node] if not done[e]]
-        if not live:
-            continue
-        eidx = live[0]
-        i, j = edges[eidx]
-        val = rem[node]
-        if val < 0:
-            return None
-        other = m + j if node == i else i
-        grid[i][j] = val
-        rem[node] = Fraction(0)
-        rem[other] -= val
-        done[eidx] = True
-        deg[node] -= 1
-        deg[other] -= 1
-        if deg[other] == 1:
-            leaves.append(other)
-    if any(x != 0 for x in rem):
-        return None
-    if any(grid[i][j] < 0 for i, j in edges):
+        x = leaves.pop()
+        if live[x]:
+            y = live[x].pop()
+            live[y].discard(x)
+            i, j = (x, y - m) if x < m else (y, x - m)
+            grid[i][j] = rem[x]
+            rem[x], rem[y] = 0, rem[y] - rem[x]
+            if len(live[y]) == 1:
+                leaves.append(y)
+    if any(rem) or any(grid[i][j] < 0 for i, j in edges):
         return None
     return tuple(tuple(row) for row in grid)
 
@@ -131,9 +126,7 @@ class VertexSet:
     _index: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        self._index.update(
-            {a.flows: pos for pos, a in enumerate(self.vertices)}
-        )
+        self._index.update({a.flows: p for p, a in enumerate(self.vertices)})
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -145,8 +138,15 @@ class VertexSet:
         return self.vertices[pos]
 
     def index_of(self, a) -> int:
-        flows = a.flows if isinstance(a, Assignment) else a
-        return self._index[flows]
+        """Position of a vertex, given as an Assignment or a flow matrix."""
+        if isinstance(a, Assignment):
+            if a.inst != self.inst:
+                raise TransportError("the point belongs to another instance")
+            a = a.flows
+        pos = self._index.get(a)
+        if pos is None:
+            raise TransportError("the point is not a vertex of this set")
+        return pos
 
 
 def tree_count(m: int, n: int) -> int:
@@ -155,50 +155,101 @@ def tree_count(m: int, n: int) -> int:
 
 
 def enumerate_vertices(inst: Instance, cap_trees: int = 10**7) -> VertexSet:
-    """Brute-force vertex enumeration.
+    """Every vertex, sorted by flow matrix, and the skeleton graph.
 
-    Walks all spanning trees of K_{m,n} (include/exclude search over the
-    edge list with a union-find cycle prune), solves the unique flow on
-    each, keeps the nonnegative ones and dedups by flow matrix. Every
-    vertex has a spanning-tree basis, so degenerate vertices are found
-    too; they simply repeat across trees.
-
-    The search runs once per Instance object; later calls return the
-    same VertexSet, after the cap check.
+    One breadth-first search over the feasible bases (spanning trees of
+    K_{m,n} with nonnegative flow), from the northwest-corner basis, on
+    the LCD-scaled integer margins; bases are bitmasks and flows tuples
+    over the cells i*n + j. A cell outside a basis closes one cycle: the
+    step is the least flow on its decreased cells, each decreased cell at
+    that flow leaves for a neighbour basis, and a positive step is a
+    skeleton edge (the pivots of reverse search: Avis and Fukuda, Discrete
+    Comput. Geom. 8, 1992). cap_trees bounds the spanning trees, hence
+    the bases. The Instance object holds the VertexSet and the graph
+    (sorted index rows); later calls return them after the cap check.
     """
     m, n = inst.m, inst.n
     total = tree_count(m, n)
     if total > cap_trees:
         raise ResourceLimitError(f"{total} spanning trees exceeds cap {cap_trees}")
-    known = inst._derived.get("vertices")
-    if known is not None:
-        return known
-    edges = [(i, j) for i in range(m) for j in range(n)]
-    need = m + n - 1
-    found: dict[Matrix, Assignment] = {}
+    held = inst._derived
+    if "vertices" in held:
+        return held["vertices"]
+    scaled = lcd_scale(inst.u + inst.v)
+    first = [0] * (m * n)
+    key = 0
+    for i, j, x in _northwest_cells(scaled[:m], scaled[m:], range(n)):
+        first[i * n + j] = x
+        key |= 1 << (i * n + j)
+    nbrs = {tuple(first): set()}
+    seen = {key}
+    queue = [(key, tuple(first))]
+    for key, y in queue:
+        path = _forest_paths([divmod(k, n) for k in range(m * n) if key >> k & 1],
+                             m, n)
+        for c in range(m * n):
+            if key >> c & 1:
+                continue
+            nodes = path(*divmod(c, n))
+            rows, cols = nodes[1::2], [x - m for x in nodes[::2]]
+            dec = [r * n + s for r, s in zip(rows, cols)]
+            t = min([y[k] for k in dec])
+            z = y
+            if t:
+                z = list(y)
+                z[c] += t
+                for r, s in zip(rows, cols[1:]):
+                    z[r * n + s] += t
+                for k in dec:
+                    z[k] -= t
+                z = tuple(z)
+                nbrs[y].add(z)
+                nbrs.setdefault(z, set()).add(y)
+            for k in dec:
+                nxt = key ^ (1 << c) ^ (1 << k)
+                if y[k] == t and nxt not in seen:
+                    seen.add(nxt)
+                    queue.append((nxt, z))
+    order = sorted(nbrs)
+    rank = {y: p for p, y in enumerate(order)}
+    held["graph"] = tuple(tuple(sorted(rank[z] for z in nbrs[y])) for y in order)
+    lcd = sum(scaled[:m]) // sum(inst.u)
+    grids = ([[Fraction(x, lcd) for x in y[i * n:(i + 1) * n]] for i in range(m)]
+             for y in order)
+    held["vertices"] = VertexSet(inst, tuple(Assignment(inst, g) for g in grids))
+    return held["vertices"]
 
-    def rec(pos: int, chosen: list[Edge], parent: list[int]):
-        if len(chosen) == need:
-            flows = _solve_tree(inst, chosen)
-            if flows is not None and flows not in found:
-                found[flows] = Assignment(inst, flows)
-            return
-        if len(edges) - pos < need - len(chosen):
-            return
-        i, j = edges[pos]
-        ra, rb = _find(parent, i), _find(parent, m + j)
-        if ra != rb:
-            child = list(parent)
-            child[ra] = rb
-            chosen.append((i, j))
-            rec(pos + 1, chosen, child)
-            chosen.pop()
-        rec(pos + 1, chosen, parent)
 
-    rec(0, [], list(range(m + n)))
-    ordered = sorted(found.values(), key=lambda a: a.flows)
-    verts = inst._derived["vertices"] = VertexSet(inst, tuple(ordered))
-    return verts
+def _forest_paths(cells, m: int, n: int):
+    """Paths in the forest on supplies 0..m-1 and demands m..m+n-1 whose
+    edges are the cells (i, j): the returned function maps (i, j) to the
+    nodes from demand j to supply i, or to None across two trees."""
+    adj = [[] for _ in range(m + n)]
+    for i, j in cells:
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    parent, depth = list(range(m + n)), [-1] * (m + n)
+    for root in range(m + n):
+        if depth[root] < 0:
+            depth[root], stack = 0, [root]
+            while stack:
+                x = stack.pop()
+                for y in adj[x]:
+                    if depth[y] < 0:
+                        parent[y], depth[y] = x, depth[x] + 1
+                        stack.append(y)
+
+    def path(i: int, j: int) -> list[int] | None:
+        up, down = [m + j], [i]
+        while up[-1] != down[-1]:
+            a, b = up[-1], down[-1]
+            if depth[a] == depth[b] == 0:
+                return None
+            deeper = up if depth[a] >= depth[b] else down
+            deeper.append(parent[deeper[-1]])
+        return up + down[-2::-1]
+
+    return path
 
 
 def _require_vertex(a: Assignment, name: str):
@@ -241,33 +292,14 @@ def insert_pivot(vertex: Assignment, edge: Edge) -> PivotResult:
     i, j = edge
     if not (0 <= i < m and 0 <= j < n):
         raise TransportError(f"edge {edge} outside {m}x{n}")
-    # Path from demand j to supply i inside the support forest.
-    adj: dict[int, list[int]] = {x: [] for x in range(m + n)}
-    for a, b in sorted(sup):
-        adj[a].append(m + b)
-        adj[m + b].append(a)
-    start, goal = m + j, i
-    prev = {start: start}
-    queue = [start]
-    while queue:
-        node = queue.pop(0)
-        if node == goal:
-            break
-        for nxt in adj[node]:
-            if nxt not in prev:
-                prev[nxt] = node
-                queue.append(nxt)
-    if goal not in prev:
+    path = _forest_paths(sup, m, n)(i, j)
+    if path is None:
         raise DegenerateError(f"support does not connect edge {edge}")
-    path = [goal]
-    while path[-1] != start:
-        path.append(prev[path[-1]])
-    path.reverse()  # demand j, supply, demand, ..., supply i
+    # path: demand j, supply, demand, ..., supply i
     supplies = [i] + [x for x in path if x < m and x != i]
     demands = [x - m for x in path if x >= m]
     g = Circuit(supplies, demands)
-    flows = [vertex.flows[a][b] for a, b in g.decreased()]
-    alpha = min(flows)
+    alpha = min(vertex.flows[a][b] for a, b in g.decreased())
     if alpha <= 0:
         raise DegenerateError(f"zero flow on the cycle closed by {edge}")
     deleted = frozenset(
@@ -284,13 +316,8 @@ def vertex_neighbors(vertex: Assignment) -> list[PivotResult]:
     (m-1)(n-1) of them, pairwise distinct.
     """
     m, n = vertex.inst.m, vertex.inst.n
-    sup = vertex.support
-    out = []
-    for i in range(m):
-        for j in range(n):
-            if (i, j) not in sup:
-                out.append(insert_pivot(vertex, (i, j)))
-    return out
+    return [insert_pivot(vertex, (i, j)) for i in range(m) for j in range(n)
+            if (i, j) not in vertex.support]
 
 
 @dataclass(frozen=True)

@@ -120,6 +120,15 @@ def test_oracle_values(kind, value):
     assert json.loads(out)["value"] == value
 
 
+def test_oracle_cde_refuses_a_non_vertex(tmp_path):
+    mid = tmp_path / "mid.json"
+    mid.write_text(json.dumps([["3/2", "3/2", "0"], ["1/2", "1/2", "2"]]))
+    rc, out, err = run(["oracle", "--gen", "example1", "--kind", "cde",
+                        "--from", str(mid)])
+    assert (rc, out) == (2, "")
+    assert err == "error: the point is not a vertex of this set\n"
+
+
 def test_oracle_cd_with_k():
     rc, out, _ = run(["oracle", "--gen", "example1", "--kind", "cd", "--k", "1"])
     assert rc == 0

@@ -28,6 +28,7 @@ from tpwalk import (
     is_nondegenerate,
     max_step,
     neighbor_graph,
+    northwest_corner,
     perturb,
     random_instance,
     vertex_neighbors,
@@ -154,6 +155,27 @@ def test_hand_built_vertex_set_may_be_disconnected():
             neighbor_graph(VertexSet(inst, (verts[0], stranger)))
 
 
+def test_hand_built_vertex_set_beyond_the_tree_cap():
+    # 2^21 * 22 spanning trees: the induced graph needs the whole instance.
+    inst = Instance((Fraction(21, 2), Fraction(23, 2)), (1,) * 22)
+    star = VertexSet(inst, (northwest_corner(inst),))
+    with pytest.raises(ResourceLimitError, match="spanning trees exceeds cap"):
+        neighbor_graph(star)
+
+
+def test_non_vertex_endpoints_are_refused(case):
+    verts = enumerate_vertices(case.inst)
+    mid = Assignment(case.inst, [["3/2", "3/2", 0], ["1/2", "1/2", 2]])
+    with pytest.raises(TransportError, match="not a vertex"):
+        graph_distance(case.O, mid)
+    with pytest.raises(TransportError, match="not a vertex"):
+        verts.index_of(mid.flows)
+    other = enumerate_vertices(Instance((3, 3), (1, 2, 3)))[0]
+    with pytest.raises(TransportError, match="another instance"):
+        verts.index_of(other)
+    assert verts.index_of(case.F) == verts.index_of(case.F.flows)
+
+
 def _pivot_graph(verts):
     """The graph as one insertion pivot per absent edge gives it, each
     pivot deleting one edge (non-degenerate instances only)."""
@@ -183,7 +205,12 @@ def test_neighbor_graph_matches_pivots(m, n, count):
     lambda: gen_coincide(4).inst,
     lambda: gen_diameter_n(4).inst,
     lambda: Instance((1, 3, 4), (2, 3, 3)),
-], ids=["example1", "hirsch_sharp3x3", "coincide4", "diameter_n4", "134-233"])
+    # Bases outnumber vertices: 72 for 6, 3072 for 24, 404 for 194.
+    lambda: Instance((1,) * 3, (1,) * 3),
+    lambda: Instance((1,) * 4, (1,) * 4),
+    lambda: gen_hirsch_sharp(4, 4).inst,
+], ids=["example1", "hirsch_sharp3x3", "coincide4", "diameter_n4", "134-233",
+        "ones3x3", "ones4x4", "hirsch_sharp4x4"])
 def test_neighbor_graph_matches_pairwise(make):
     verts = enumerate_vertices(make())
     want = [[b for b, y in enumerate(verts) if b != a and are_adjacent(x, y)]

@@ -1,6 +1,8 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,6 +23,7 @@ from tpwalk import (
     hirsch_data,
     insert_pivot,
     is_nondegenerate,
+    neighbor_graph,
     northwest_corner,
     perturb,
     random_instance,
@@ -116,6 +119,91 @@ def test_enumerate_vertices_degenerate_dedup():
 def test_enumerate_vertices_cap():
     with pytest.raises(ResourceLimitError):
         enumerate_vertices(gen_example1().inst, cap_trees=2)
+
+
+def _root(parent, x):
+    while parent[x] != x:
+        x = parent[x]
+    return x
+
+
+def _tree_flow(u, v, tree):
+    """The flow on a spanning tree: cutting cell (i, j) leaves row i a side
+    whose supply less its demand must cross that cell."""
+    m, n = len(u), len(v)
+    grid = [[0] * n for _ in range(m)]
+    for cut in tree:
+        parent = list(range(m + n))
+        for i, j in tree:
+            if (i, j) != cut:
+                parent[_root(parent, i)] = _root(parent, m + j)
+        side = _root(parent, cut[0])
+        grid[cut[0]][cut[1]] = (
+            sum(x for i, x in enumerate(u) if _root(parent, i) == side)
+            - sum(x for j, x in enumerate(v) if _root(parent, m + j) == side))
+    return tuple(tuple(row) for row in grid)
+
+
+def _tree_search(inst):
+    """Reference oracle: every spanning tree of K_{m,n}, by include/exclude
+    search over the cells with a union-find cycle prune, and its flow.
+    Returns each nonnegative flow (a vertex) with its number of bases."""
+    m, n = inst.m, inst.n
+    d = lcm(*(x.denominator for x in inst.u + inst.v))
+    u, v = [int(x * d) for x in inst.u], [int(x * d) for x in inst.v]
+    cells = [(i, j) for i in range(m) for j in range(n)]
+    need = m + n - 1
+    found = Counter()
+
+    def rec(pos, chosen, parent):
+        if len(chosen) == need:
+            flows = _tree_flow(u, v, chosen)
+            if all(x >= 0 for row in flows for x in row):
+                found[flows] += 1
+            return
+        if len(cells) - pos < need - len(chosen):
+            return
+        i, j = cells[pos]
+        a, b = _root(parent, i), _root(parent, m + j)
+        if a != b:
+            child = list(parent)
+            child[a] = b
+            rec(pos + 1, chosen + [(i, j)], child)
+        rec(pos + 1, chosen, parent)
+
+    rec(0, [], list(range(m + n)))
+    return {tuple(tuple(Fraction(x, d) for x in row) for row in flows): count
+            for flows, count in found.items()}
+
+
+def _pairwise_graph(verts):
+    """Reference graph: the one-cycle rule on every pair, skipping a pair
+    whose union has more than m + n cells (it holds two cycles or more)."""
+    m, n = verts.inst.m, verts.inst.n
+    return [[b for b, y in enumerate(verts) if b != a
+             and len(x.support | y.support) <= m + n and are_adjacent(x, y)]
+            for a, x in enumerate(verts)]
+
+
+@given(sixths_instances())
+@settings(deadline=None, max_examples=200)
+def test_enumerate_vertices_matches_tree_search(inst):
+    assume(tree_count(inst.m, inst.n) <= 2500)
+    verts = enumerate_vertices(inst)
+    assert [a.flows for a in verts] == sorted(_tree_search(inst))
+    assert neighbor_graph(verts) == _pairwise_graph(verts)
+
+
+@pytest.mark.parametrize("inst,vertices,bases", [
+    (Instance((1,) * 3, (1,) * 3), 6, 72),
+    (Instance((1,) * 4, (1,) * 4), 24, 3072),
+    (gen_hirsch_sharp(4, 4).inst, 194, 404),
+    (Instance((1, 3, 4), (2, 3, 3)), 14, 26),
+], ids=["ones3x3", "ones4x4", "hirsch_sharp4x4", "134-233"])
+def test_enumerate_vertices_where_bases_outnumber_vertices(inst, vertices, bases):
+    found = _tree_search(inst)
+    assert (len(found), sum(found.values())) == (vertices, bases)
+    assert [a.flows for a in enumerate_vertices(inst)] == sorted(found)
 
 
 def test_insert_pivot_pinned():
