@@ -11,7 +11,9 @@ line of its stdout. Then each side gets one traced run (``--trace 1``)
 of every workload at ``TRACED_SEED``, which shows the layer the time
 went to, one Tier-1 pytest run and the fixed-seed sweeps in ``SWEEPS``,
 all timed; each sweep also records whether the two sides printed the
-same bytes (``same_stdout``).
+same bytes (``same_stdout``). ``src_lines`` counts each side's
+non-blank, non-comment lines of ``src/tpwalk/*.py``, docstrings
+included.
 
 For each workload and end-to-end metric the summary gives each side's
 median and quartiles over the seeds, and how many pairs the change won
@@ -71,6 +73,13 @@ def timed(root: Path, argv: list[str]) -> tuple[subprocess.CompletedProcess, flo
     return proc, perf_counter() - start
 
 
+def src_lines(root: Path) -> int:
+    """Non-blank lines of src/tpwalk/*.py that are not # comments."""
+    return sum(1 for path in sorted((root / "src" / "tpwalk").glob("*.py"))
+               for line in path.read_text().splitlines()
+               if line.strip() and not line.lstrip().startswith("#"))
+
+
 def quartiles(values: list[float]) -> dict:
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": q1, "median": q2, "q3": q3}
@@ -103,6 +112,7 @@ def main(argv=None) -> int:
         "seconds_per_run": SECONDS,
         "seeds": SEEDS,
         "heldout_seed": HELDOUT,
+        "src_lines": {s: src_lines(roots[s]) for s in SIDES},
         "workloads": {},
     }
     turn = 0

@@ -24,7 +24,6 @@ from .core import (
     TransportError,
     UnreachableCaseError,
     Walk,
-    apply_circuit,
     as_matrix,
 )
 
@@ -171,10 +170,7 @@ class Decomposition:
 
     def as_walk(self, start: Matrix) -> Walk:
         """The decomposition as a walk from start, one term per step."""
-        pts = [start]
-        for g, a in self.terms:
-            pts.append(apply_circuit(pts[-1], g, a))
-        return Walk("CD_s", tuple(pts), self.terms)
+        return Walk("CD_s", start, self.terms)
 
 
 def sign_compatible_decomposition(O: Assignment, F: Assignment) -> Decomposition:

@@ -451,10 +451,10 @@ def _sample_pairs(rng: random.Random, count: int, cap: int) -> list:
 
 
 def _sweep_one(task) -> dict:
-    seed, idx, m, n, pairs_cap = task
+    seed, idx, m, n, pairs_cap, cap_trees = task
     rng = random.Random(f"{seed}:{idx}")
     inst = random_instance(rng, m, n)
-    verts = enumerate_vertices(inst)
+    verts = enumerate_vertices(inst, cap_trees=cap_trees)
     pairs = _sample_pairs(rng, len(verts), pairs_cap)
     worst = 0
     valid = True
@@ -484,7 +484,8 @@ def _cmd_sweep(args) -> int:
     if args.m not in (None, m):
         raise TransportError(f"--m {args.m} conflicts with --family {args.family}")
     tasks = [
-        (args.seed, idx, m, args.n, args.pairs) for idx in range(args.count)
+        (args.seed, idx, m, args.n, args.pairs, args.cap_trees)
+        for idx in range(args.count)
     ]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:

@@ -113,13 +113,13 @@ class MarkState:
 
 @dataclass(frozen=True)
 class PivotChoice:
-    """One executed pivot: what was inserted, walked, deleted, marked."""
+    """One executed pivot: the edge inserted (and marked), the circuit
+    walked, its length and the edge deleted."""
 
     inserted: Edge
     circuit: Circuit
     alpha: Fraction
     deleted: Edge
-    marked: Edge
 
 
 @dataclass
@@ -144,7 +144,7 @@ def _pivot_mark(state: MarkState, edge: Edge) -> tuple[PivotChoice, MarkState]:
         raise UnreachableCaseError("pivot on a non-degenerate instance tied")
     deleted = next(iter(piv.deleted))
     nxt = MarkState(piv.result, state.marked | {edge}, state.target)
-    return PivotChoice(edge, piv.circuit, piv.alpha, deleted, edge), nxt
+    return PivotChoice(edge, piv.circuit, piv.alpha, deleted), nxt
 
 
 def _mixed_parity_ok(state: MarkState, i: int) -> bool:
@@ -300,7 +300,6 @@ def _marking_walk(O: Assignment, F: Assignment, next_round
     """
     state = MarkState(O, frozenset(), F)
     trace = MarkTrace()
-    points = [O.flows]
     steps: list[tuple[Circuit, Fraction]] = []
     label = "start"
     for _ in range(len(F.support) + 1):
@@ -316,13 +315,12 @@ def _marking_walk(O: Assignment, F: Assignment, next_round
         if choice is None:
             trace.free_marks += 1
         else:
-            points.append(state.current.flows)
             steps.append((choice.circuit, choice.alpha))
     else:
         raise UnreachableCaseError("marking did not finish in |F| rounds")
     if state.current.flows != F.flows:
         raise UnreachableCaseError("all edges marked but target not reached")
-    return Walk("CD_e", tuple(points), tuple(steps)), trace
+    return Walk("CD_e", O.flows, tuple(steps)), trace
 
 
 # ------------------------------------------------------- 2xn edge walks
@@ -634,7 +632,6 @@ def cdfm_walk_2xn(O: Assignment, F: Assignment) -> Walk:
     budget = edge_distance(O, F)
     sup_f = F.support
     cur = O.flows
-    points = [cur]
     steps: list[tuple[Circuit, Fraction]] = []
     for _ in range(budget + 1):
         if cur == F.flows:
@@ -673,11 +670,10 @@ def cdfm_walk_2xn(O: Assignment, F: Assignment) -> Walk:
         if alpha is None or alpha <= 0:
             raise UnreachableCaseError("constructed step is not applicable")
         cur = apply_circuit(cur, g, alpha)
-        points.append(cur)
         steps.append((g, alpha))
     else:
         raise UnreachableCaseError("walk exceeded its edge-distance budget")
     if len(steps) > budget or (len(sup_f) == inst.n and len(steps) > budget - 1
                                and budget > 0):
         raise UnreachableCaseError("maximal-step walk too long")
-    return Walk("CD_fm", tuple(points), tuple(steps))
+    return Walk("CD_fm", O.flows, tuple(steps))

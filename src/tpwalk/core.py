@@ -13,7 +13,7 @@ at the serialization boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from math import lcm
 from types import MappingProxyType
@@ -286,45 +286,38 @@ def apply_circuit(flows: Matrix, g: Circuit, alpha: Fraction) -> Matrix:
 
 @dataclass(frozen=True)
 class Walk:
-    """A circuit walk: points y^0 .. y^k and the steps connecting them.
+    """A circuit walk: a start point y^0 and steps alpha_i g^i.
 
-    Construction checks the defining identity y^{i+1} - y^i = alpha_i g^i
-    exactly. Kind-specific semantics (feasibility, maximality, adjacency,
-    sign compatibility) are the validator's job, not the type's.
+    The points y^{i+1} = y^i + alpha_i g^i are derived once, at
+    construction, after each step is checked to have a positive length
+    and a circuit on the start's grid; so they telescope exactly. Kind-
+    specific semantics (feasibility, maximality, adjacency, sign
+    compatibility) are the validator's job, not the type's.
     """
 
     kind: str
-    points: tuple[Matrix, ...]
+    start: InitVar[Matrix]
     steps: tuple[tuple[Circuit, Fraction], ...]
+    points: tuple[Matrix, ...] = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, start):
         if self.kind not in WALK_KINDS:
             raise TransportError(f"unknown walk kind {self.kind!r}")
-        pts = tuple(as_matrix(p) for p in self.points)
         stp = tuple((g, parse_rational(a)) for g, a in self.steps)
-        object.__setattr__(self, "points", pts)
         object.__setattr__(self, "steps", stp)
-        if len(pts) != len(stp) + 1:
-            raise TransportError("need exactly one more point than steps")
+        pts = [as_matrix(start)]
+        m, n = len(pts[0]), len(pts[0][0])
         for idx, (g, a) in enumerate(stp):
             if a <= 0:
                 raise TransportError(f"step {idx}: alpha {a} not positive")
-            m, n = len(pts[idx]), len(pts[idx][0])
             if max(g.supplies) >= m or max(g.demands) >= n:
                 raise TransportError(f"step {idx} circuit leaves the {m}x{n} grid")
-            if apply_circuit(pts[idx], g, a) != pts[idx + 1]:
-                raise TransportError(f"step {idx} does not connect its endpoints")
+            pts.append(apply_circuit(pts[-1], g, a))
+        object.__setattr__(self, "points", tuple(pts))
 
     @property
     def length(self) -> int:
         return len(self.steps)
-
-    def replay(self) -> Matrix:
-        """Re-apply all steps from the start; must reproduce the last point."""
-        y = self.points[0]
-        for g, a in self.steps:
-            y = apply_circuit(y, g, a)
-        return y
 
 
 def edge_distance(O: Assignment, F: Assignment) -> int:

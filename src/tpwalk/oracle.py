@@ -18,7 +18,7 @@ integer echelon that is extended one row at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from .core import (
@@ -37,25 +37,20 @@ from .polytope import VertexSet, enumerate_vertices
 class DistanceTable:
     """Distances for vertex pairs of one instance under one kind.
 
-    Rows are (source index, target index, distance) into the vertex set.
+    rows[a][b] is the distance from vertex a to vertex b, as indices into
+    the vertex set: one breadth-first-search row per vertex.
     """
 
     kind: str
     verts: VertexSet
-    pairs: tuple[tuple[int, int, int], ...]
-    _map: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def __post_init__(self):
-        self._map.update({(a, b): d for a, b, d in self.pairs})
+    rows: tuple[tuple[int, ...], ...]
 
     @property
     def diameter(self) -> int:
-        return max((d for _, _, d in self.pairs), default=0)
+        return max(map(max, self.rows), default=0)
 
     def distance(self, a: int, b: int) -> int:
-        if (a, b) in self._map:
-            return self._map[(a, b)]
-        return self._map[(b, a)]
+        return self.rows[a][b]
 
 
 def neighbor_graph(verts: VertexSet) -> list[list[int]]:
@@ -107,14 +102,11 @@ def graph_distance(O: Assignment, F: Assignment, cap_trees: int = 10**7) -> int:
 
 
 def graph_distance_table(inst: Instance, cap_trees: int = 10**7) -> DistanceTable:
-    """All-pairs skeleton distances (a <= b only; the metric is symmetric)."""
+    """All-pairs skeleton distances, one BFS per vertex."""
     verts = enumerate_vertices(inst, cap_trees=cap_trees)
     adj = _adjacency(verts)
-    rows = []
-    for a in range(len(verts)):
-        dist = _bfs(adj, a)
-        rows.extend((a, b, dist[b]) for b in range(a, len(verts)))
-    return DistanceTable("CD_e", verts, tuple(rows))
+    rows = tuple(tuple(_bfs(adj, a)) for a in range(len(verts)))
+    return DistanceTable("CD_e", verts, rows)
 
 
 def graph_diameter(inst: Instance, cap_trees: int = 10**7) -> int:

@@ -47,8 +47,8 @@ def validate_walk(w: Walk, inst: Instance) -> WalkReport:
     Never raises for a rule violation; the first one found is reported
     with the step index it occurred at (point p is attributed to step
     p-1, the start point to step 0). The Walk constructor has already
-    checked that every step stays on its point's grid and connects its
-    endpoints exactly.
+    checked that every step has a positive length and stays on the
+    start's grid, and derived each point from the one before it.
     """
     kind = w.kind
 
@@ -56,8 +56,8 @@ def validate_walk(w: Walk, inst: Instance) -> WalkReport:
         return WalkReport(False, kind, (idx, reason))
 
     m, n = inst.m, inst.n
-    # The start point suffices: each step connects its points exactly and
-    # a circuit keeps every row and column sum, so the rest match it.
+    # The start point suffices: each point is the one before it plus a
+    # circuit step, which keeps every row and column sum.
     start = w.points[0]
     if len(start) != m or any(len(row) != n for row in start):
         return bad(0, f"point 0 is not {m}x{n}")

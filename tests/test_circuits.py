@@ -86,7 +86,7 @@ def test_decomposition_example_pair():
     ]
     w = dec.as_walk(case.O.flows)
     assert w.kind == "CD_s"
-    assert w.replay() == case.F.flows
+    assert w.points[-1] == case.F.flows
     assert validate_walk(w, case.inst).valid
 
 
@@ -113,5 +113,5 @@ def test_decomposition_random_vertex_pairs(seed):
     dec = sign_compatible_decomposition(verts[a], verts[b])
     assert 1 <= len(dec.terms) <= m + n - 1
     w = dec.as_walk(verts[a].flows)
-    assert w.replay() == verts[b].flows
+    assert w.points[-1] == verts[b].flows
     assert all(x >= 0 for p in w.points for row in p for x in row)

@@ -12,7 +12,6 @@ from tpwalk import (
     ResourceLimitError,
     UnreachableCaseError,
     Walk,
-    apply_circuit,
     cli,
 )
 
@@ -231,6 +230,17 @@ def test_sweep_accepts_matching_rows():
     assert [row["m"] for row in json.loads(out)] == [3]
 
 
+@pytest.mark.parametrize("command", [
+    ["vertices", "--u", "4,4,4", "--v", "3,3,3,3"],
+    ["sweep", "--family", "3xn", "--n", "4", "--count", "1", "--pairs", "2"],
+])
+def test_cap_trees_is_honoured(command):
+    # A 3x4 instance has 3^3 * 4^2 = 432 spanning trees.
+    rc, out, err = run([*command, "--cap-trees", "10"])
+    assert (rc, out) == (2, "")
+    assert "432 spanning trees exceeds cap 10" in err
+
+
 def test_sweep_parallel_matches_serial():
     rc1, out1, _ = run(
         ["sweep", "--family", "2xn", "--count", "2", "--pairs", "3", "--seed", "5"]
@@ -252,7 +262,7 @@ def test_sweep_revalidates_walks(monkeypatch):
         walk, trace = construct(O, F)
         g, a = walk.steps[0]
         start = walk.points[0]
-        bad = Walk(walk.kind, (start, apply_circuit(start, g, 2 * a)), ((g, 2 * a),))
+        bad = Walk(walk.kind, start, ((g, 2 * a),))
         return bad, trace
 
     monkeypatch.setattr(cli, "edge_walk_2xn_report", corrupted)

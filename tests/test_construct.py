@@ -89,7 +89,6 @@ def test_mark_pivot_single_round(case):
     state = MarkState(case.O, frozenset(), case.F)
     choice, after = mark_pivot(state, 0)
     assert choice.inserted == (0, 2)
-    assert choice.marked == (0, 2)
     assert choice.deleted == (0, 1)
     assert choice.alpha == 1
     assert after.marked == frozenset({(0, 2)})

@@ -146,27 +146,40 @@ def test_apply_circuit():
     assert out == as_matrix([[1, 2, 0], [1, 0, 2]])
 
 
-def test_walk_replay_and_length():
+def test_walk_points_and_length():
     case = gen_example1()
     g = Circuit((0, 1), (2, 0))
-    mid = apply_circuit(case.O.flows, g, Fraction(2))
-    w = Walk("CD_fm", (case.O.flows, mid), ((g, Fraction(2)),))
+    w = Walk("CD_fm", case.O.flows, ((g, Fraction(2)),))
     assert w.length == 1
-    assert w.replay() == case.F.flows
+    assert w.points[-1] == case.F.flows
+
+
+def test_walk_derives_points_from_start_and_steps():
+    case = gen_example1()
+    g = Circuit((0, 1), (2, 0))
+    w = Walk("CD_f", case.O.flows, ((g, 1), (g, "1")))
+    mid = as_matrix([[1, 1, 1], [1, 1, 1]])
+    assert w.points == (case.O.flows, mid, case.F.flows)
+    assert w.steps == ((g, Fraction(1)), (g, Fraction(1)))
+
+
+@pytest.mark.parametrize("alpha", [0, -1])
+def test_walk_rejects_nonpositive_alpha(alpha):
+    case = gen_example1()
+    g = Circuit((0, 1), (2, 0))
+    with pytest.raises(TransportError, match=f"step 0: alpha {alpha} not positive"):
+        Walk("CD", case.O.flows, ((g, alpha),))
 
 
 def test_walk_rejects_broken_step():
-    # validate_walk relies on these: a constructed walk's steps stay on the
-    # grid and telescope to the endpoint difference.
+    # validate_walk relies on these: a constructed walk's kind is known and
+    # its steps stay on the grid.
     case = gen_example1()
-    g = Circuit((0, 1), (2, 0))
     with pytest.raises(TransportError):
-        Walk("CD_fm", (case.O.flows, case.F.flows), ((g, Fraction(1)),))
-    with pytest.raises(TransportError):
-        Walk("XX", (case.O.flows,), ())
+        Walk("XX", case.O.flows, ())
     off_grid = Circuit((0, 1), (0, 5))
     with pytest.raises(TransportError, match="step 0 circuit leaves the 2x3 grid"):
-        Walk("CD", (case.O.flows, case.O.flows), ((off_grid, 1),))
+        Walk("CD", case.O.flows, ((off_grid, 1),))
 
 
 def test_edge_distance():

@@ -8,7 +8,6 @@ from tpwalk import (
     TransportError,
     Walk,
     WalkReport,
-    apply_circuit,
     cdfm_walk_2xn,
     edge_walk_2xn,
     gen_example1,
@@ -31,15 +30,15 @@ def test_valid_walks_of_each_kind(case):
     assert validate_walk(cdfm, case.inst).valid
     dec = sign_compatible_decomposition(case.O, case.F).as_walk(case.O.flows)
     assert validate_walk(dec, case.inst).valid
-    relaxed = Walk("CD_f", cdfm.points, cdfm.steps)
+    relaxed = Walk("CD_f", case.O.flows, cdfm.steps)
     assert validate_walk(relaxed, case.inst).valid
-    free = Walk("CD", cdfm.points, cdfm.steps)
+    free = Walk("CD", case.O.flows, cdfm.steps)
     assert validate_walk(free, case.inst).valid
 
 
 def test_edge_walk_rules_reject_long_jump(case):
     cdfm = cdfm_walk_2xn(case.O, case.F)
-    jumped = Walk("CD_e", cdfm.points, cdfm.steps)
+    jumped = Walk("CD_e", case.O.flows, cdfm.steps)
     report = validate_walk(jumped, case.inst)
     assert not report.valid
     assert report.violation
@@ -47,22 +46,20 @@ def test_edge_walk_rules_reject_long_jump(case):
 
 def test_cdfm_rules_reject_partial_step(case):
     g = Circuit((0, 1), (2, 0))
-    mid = apply_circuit(case.O.flows, g, Fraction(1))
     steps = ((g, Fraction(1)), (g, Fraction(1)))
-    short = Walk("CD_fm", (case.O.flows, mid, case.F.flows), steps)
+    short = Walk("CD_fm", case.O.flows, steps)
     report = validate_walk(short, case.inst)
     assert not report.valid
-    relaxed = Walk("CD_f", short.points, short.steps)
+    relaxed = Walk("CD_f", case.O.flows, steps)
     assert validate_walk(relaxed, case.inst).valid
 
 
 def test_feasible_rules_reject_negative_point(case):
     g = Circuit((0, 1), (2, 0))
-    out = apply_circuit(case.O.flows, g, Fraction(3))
     steps = ((g, Fraction(3)), (-g, Fraction(1)))
-    wild = Walk("CD", (case.O.flows, out, case.F.flows), steps)
+    wild = Walk("CD", case.O.flows, steps)
     assert validate_walk(wild, case.inst).valid
-    feas = Walk("CD_f", wild.points, wild.steps)
+    feas = Walk("CD_f", case.O.flows, steps)
     report = validate_walk(feas, case.inst)
     assert not report.valid
     assert report.violation
@@ -70,8 +67,7 @@ def test_feasible_rules_reject_negative_point(case):
 
 def test_endpoints_must_be_vertices(case):
     g = Circuit((0, 1), (2, 0))
-    mid = apply_circuit(case.O.flows, g, Fraction(1))
-    stub = Walk("CD_f", (case.O.flows, mid), ((g, Fraction(1)),))
+    stub = Walk("CD_f", case.O.flows, ((g, Fraction(1)),))
     report = validate_walk(stub, case.inst)
     assert not report.valid
     assert "vertex" in report.violation[1]
@@ -85,7 +81,7 @@ def test_kind_mismatch_reported(case):
 
 def test_walk_requires_known_kind(case):
     with pytest.raises(TransportError):
-        Walk("diagonal", (case.O.flows,), ())
+        Walk("diagonal", case.O.flows, ())
 
 
 def test_is_monotone(case):
@@ -111,18 +107,15 @@ Y = [[1, 1, 1], [1, 1, 1]]
 
 
 def _table_walk(c, kind, steps, start=None):
-    points = [c.O.flows if start is None else start]
-    for g, a in steps:
-        points.append(apply_circuit(points[-1], g, Fraction(a)))
-    return Walk(kind, tuple(points), tuple((g, Fraction(a)) for g, a in steps))
+    return Walk(kind, c.O.flows if start is None else start, steps)
 
 
 VIOLATIONS = {
     "not m x n": (
-        lambda c: Walk("CD", ([[1, 1], [1, 1]],), ()),
+        lambda c: Walk("CD", [[1, 1], [1, 1]], ()),
         (0, "point 0 is not 2x3")),
     "margins": (
-        lambda c: Walk("CD", ([[2, 1, 0], [0, 1, 1]],), ()),
+        lambda c: Walk("CD", [[2, 1, 0], [0, 1, 1]], ()),
         (0, "point 0 violates the margins")),
     "start not a vertex": (
         lambda c: _table_walk(c, "CD", [(-CYC, 1)], start=Y),
