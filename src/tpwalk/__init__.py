@@ -19,7 +19,6 @@ from .core import (
     objective,
     parse_rational,
     support_graph,
-    zero_matrix,
 )
 from .circuits import (
     CircuitSet,
@@ -32,7 +31,6 @@ from .circuits import (
 from .construct import (
     MarkState,
     MarkTrace,
-    PivotChoice,
     cdfm_walk_2xn,
     edge_walk_2xn,
     edge_walk_2xn_report,

@@ -27,6 +27,8 @@ from .core import (
     as_matrix,
 )
 
+CIRCUIT_CAP = 10**6   # the most circuits enumerate_circuits will list
+
 
 def circuit_count(m: int, n: int) -> int:
     """Closed-form number of unoriented circuits of K_{m,n}."""
@@ -83,19 +85,20 @@ class CircuitSet:
         return self._flat
 
 
-def enumerate_circuits(m: int, n: int, cap: int = 10**6) -> CircuitSet:
+def enumerate_circuits(m: int, n: int) -> CircuitSet:
     """Enumerate every unoriented even simple cycle of K_{m,n}.
 
     Cycles are generated per supply/demand subset pair; fixing the first
     supply makes sequences correspond to oriented cycles one-to-one, so
     each unoriented cycle shows up exactly twice (once per orientation)
-    and the lex-smaller orientation is kept.
+    and the lex-smaller orientation is kept. Refuses shapes with more
+    than CIRCUIT_CAP circuits.
     """
     if m < 2 or n < 2:
         raise TransportError("need m, n >= 2")
     total = circuit_count(m, n)
-    if total > cap:
-        raise ResourceLimitError(f"{total} circuits exceeds cap {cap}")
+    if total > CIRCUIT_CAP:
+        raise ResourceLimitError(f"{total} circuits exceeds cap {CIRCUIT_CAP}")
 
     seen: set[Circuit] = set()
     out: list[Circuit] = []
@@ -164,9 +167,6 @@ class Decomposition:
             for j in range(n):
                 if total.get((i, j), Fraction(0)) != self.target[i][j]:
                     raise TransportError("terms do not sum to the target")
-
-    def __len__(self) -> int:
-        return len(self.terms)
 
     def as_walk(self, start: Matrix) -> Walk:
         """The decomposition as a walk from start, one term per step."""

@@ -44,7 +44,8 @@ from .core import (
     support_graph,
 )
 from .circuits import max_step
-from .polytope import _northwest_fill, insert_pivot, is_nondegenerate
+from .polytope import (PivotResult, _northwest_fill, _require_vertex, insert_pivot,
+                       is_nondegenerate)
 
 
 # ---------------------------------------------------------------- helpers
@@ -81,7 +82,8 @@ class MarkState:
     a leaf in the target may be marked as soon as it is present; an edge
     whose demand is mixed in the target may be marked only once all
     target-leaf edges of its supply are present and marked. Both rules
-    are re-validated on every construction.
+    are re-validated on every construction. Each round returns the next
+    state with insert_pivot's PivotResult, or None for a free mark.
     """
 
     current: Assignment
@@ -111,17 +113,6 @@ class MarkState:
         return self.marked == self.target.support
 
 
-@dataclass(frozen=True)
-class PivotChoice:
-    """One executed pivot: the edge inserted (and marked), the circuit
-    walked, its length and the edge deleted."""
-
-    inserted: Edge
-    circuit: Circuit
-    alpha: Fraction
-    deleted: Edge
-
-
 @dataclass
 class MarkTrace:
     """Diagnostics collected while a marking walk runs."""
@@ -133,18 +124,15 @@ class MarkTrace:
     step4_hits: int = 0
 
 
-def _mark_only(state: MarkState, edge: Edge) -> tuple[None, MarkState]:
-    return None, MarkState(state.current, state.marked | {edge}, state.target)
-
-
-def _pivot_mark(state: MarkState, edge: Edge) -> tuple[PivotChoice, MarkState]:
-    """Insert edge, then mark it. Refuses to delete any marked edge."""
+def _mark(state: MarkState, edge: Edge) -> tuple[PivotResult | None, MarkState]:
+    """Mark edge, first inserting it by one pivot (None if it is present).
+    MarkState refuses a pivot that deletes a marked edge."""
+    if edge in state.current.support:
+        return None, MarkState(state.current, state.marked | {edge}, state.target)
     piv = insert_pivot(state.current, edge)
     if len(piv.deleted) != 1:
         raise UnreachableCaseError("pivot on a non-degenerate instance tied")
-    deleted = next(iter(piv.deleted))
-    nxt = MarkState(piv.result, state.marked | {edge}, state.target)
-    return PivotChoice(edge, piv.circuit, piv.alpha, deleted), nxt
+    return piv, MarkState(piv.result, state.marked | {edge}, state.target)
 
 
 def _mixed_parity_ok(state: MarkState, i: int) -> bool:
@@ -170,9 +158,10 @@ def _mixed_parity_ok(state: MarkState, i: int) -> bool:
     return True
 
 
-def mark_pivot(state: MarkState, i: int) -> tuple[PivotChoice | None, MarkState]:
+def mark_pivot(state: MarkState, i: int) -> tuple[PivotResult | None, MarkState]:
     """One bookkeeping round at supply i: mark one new target edge,
-    inserting it first if it is missing.
+    inserting it first if it is missing. Returns insert_pivot's
+    PivotResult (None for a free mark) and the new state.
 
     Requires the parity hypothesis: every marked edge of the current
     mixed part lies an even number of edges away from supply i, so the
@@ -196,7 +185,7 @@ def mark_pivot(state: MarkState, i: int) -> tuple[PivotChoice | None, MarkState]
 
 
 def _mark_round(state: MarkState, i: int, trace: MarkTrace
-                ) -> tuple[PivotChoice | None, MarkState]:
+                ) -> tuple[PivotResult | None, MarkState]:
     """The round body of mark_pivot, for walks that checked the instance
     once at entry. Counts each round that reaches _step4 in the trace."""
     if not _mixed_parity_ok(state, i):
@@ -207,27 +196,23 @@ def _mark_round(state: MarkState, i: int, trace: MarkTrace
     sup_f = state.target.support
 
     leaves = [e for e in _f_leaf_edges(sup_f, i) if e not in state.marked]
-    present = [e for e in leaves if e in sup_o]
-    if present:
-        return _mark_only(state, present[0])
     if leaves:
-        return _pivot_mark(state, leaves[0])
+        return _mark(state, ([e for e in leaves if e in sup_o] or leaves)[0])
 
     deg_f = _demand_degree(sup_f)
     own_mixed = sorted(e for e in sup_f if e[0] == i and deg_f[e[1]] >= 2)
     present_unmarked = [e for e in own_mixed if e in sup_o and e not in state.marked]
-    if present_unmarked:
-        return _mark_only(state, present_unmarked[0])
     missing = [e for e in own_mixed if e not in sup_o]
-    if len(missing) == 1:
-        return _pivot_mark(state, missing[0])
+    if present_unmarked or len(missing) == 1:
+        return _mark(state, (present_unmarked or missing)[0])
     if len(missing) == 2:
         trace.step4_hits += 1
         return _step4(state, i, missing)
     raise UnreachableCaseError(f"nothing left to mark at supply {i}")
 
 
-def _step4(state: MarkState, i: int, missing: list[Edge]) -> tuple[PivotChoice, MarkState]:
+def _step4(state: MarkState, i: int, missing: list[Edge]
+           ) -> tuple[PivotResult | None, MarkState]:
     """Both target-mixed edges of supply i are absent (3xn only).
 
     In the target, i is the middle of the 4-edge mixed path, its two
@@ -253,7 +238,7 @@ def _step4(state: MarkState, i: int, missing: list[Edge]) -> tuple[PivotChoice, 
     unmarked = [pos for pos, (t, a) in enumerate(sides) if (a, t) not in state.marked]
     if unmarked:
         t = sides[unmarked[0]][0]
-        return _pivot_mark(state, (i, t))
+        return _mark(state, (i, t))
 
     # Both (a1,t1) and (a2,t2) are marked. Look for a demand adjacent, in
     # the current mixed part, to both i and one of the a's; prefer one
@@ -271,7 +256,7 @@ def _step4(state: MarkState, i: int, missing: list[Edge]) -> tuple[PivotChoice, 
     a = sides[pos][1]
     a_has_other = any(e[0] == a and e[1] != d for e in em)
     t = sides[1 - pos][0] if a_has_other else sides[pos][0]
-    return _pivot_mark(state, (i, t))
+    return _mark(state, (i, t))
 
 
 # ---------------------------------------------------------- walk driver
@@ -283,9 +268,8 @@ def _check_endpoints(O: Assignment, F: Assignment, m: int):
         raise TransportError(f"this walk needs exactly {m} supplies")
     if O.inst != F.inst:
         raise TransportError("walk endpoints need a common instance")
-    for a, name in ((O, "start"), (F, "target")):
-        if not a.is_vertex():
-            raise TransportError(f"{name} is not a vertex")
+    _require_vertex(O, "start")
+    _require_vertex(F, "target")
 
 
 def _marking_walk(O: Assignment, F: Assignment, next_round
@@ -354,8 +338,7 @@ def _marking_walk_2xn(O: Assignment, F: Assignment, choose=None
 
     def next_round(state, prev, trace):
         if prev == "start" and start_leaves:
-            choice, nxt = _mark_only(state, start_leaves[0])
-            return choice, nxt, "opening leaf mark"
+            return (*_mark(state, start_leaves[0]), "opening leaf mark")
         q = _mixed_pair_2xn(state.current.support)
         cands = [i for i in (0, 1) if (i, q) not in state.marked]
         if not cands:
@@ -365,13 +348,12 @@ def _marking_walk_2xn(O: Assignment, F: Assignment, choose=None
             raise UnreachableCaseError(f"override chose supply {i} outside {cands}")
         choice, nxt = _mark_round(state, i, trace)
         if choice is not None:
-            if trace.protected is not None and choice.deleted == trace.protected:
+            if trace.protected in choice.deleted:
                 raise UnreachableCaseError(
                     f"protected shared edge {trace.protected} was deleted"
                 )
-            if choice.deleted in watch and trace.protected is None:
-                other = next(iter(watch - {choice.deleted}))
-                trace.protected = other
+            if choice.deleted & watch and trace.protected is None:
+                trace.protected = next(iter(watch - choice.deleted))
         return choice, nxt, f"round at supply {i}"
 
     walk, trace = _marking_walk(O, F, next_round)
@@ -478,7 +460,7 @@ def _mixed_path_3xn(sup) -> tuple[int, int, int, int, int]:
     return ends[0], d_a, mid, d_b, ends[1]
 
 
-def _case_2b(state: MarkState, s1, d1, s2, s3, d2) -> tuple[PivotChoice | None, MarkState]:
+def _case_2b(state: MarkState, s1, d1, s2, s3, d2) -> tuple[PivotResult | None, MarkState]:
     """Marked: (s1,d1), (s2,d1). The far half of the path is unmarked.
 
     _case_3b hands over here when (s3,d2) is marked too and d2 is mixed
@@ -488,21 +470,19 @@ def _case_2b(state: MarkState, s1, d1, s2, s3, d2) -> tuple[PivotChoice | None, 
     if _demand_degree(sup_f).get(d2, 0) == 1:
         if (s3, d2) not in sup_f:
             raise UnreachableCaseError("leaf demand of the far edge left the target")
-        return _mark_only(state, (s3, d2))
+        return _mark(state, (s3, d2))
     if (s2, d2) in sup_f:
-        return _mark_only(state, (s2, d2))
+        return _mark(state, (s2, d2))
     if (s1, d2) not in sup_f or (s3, d2) not in sup_f:
         raise UnreachableCaseError("mixed far demand lacks its two target edges")
-    choice, nxt = _pivot_mark(state, (s1, d2))
-    if choice.deleted != (s2, d2):
-        raise UnreachableCaseError(
-            f"insertion of ({s1},{d2}) deleted {choice.deleted}"
-        )
+    choice, nxt = _mark(state, (s1, d2))
+    if choice is None or choice.deleted != {(s2, d2)}:
+        raise UnreachableCaseError(f"marking ({s1},{d2}) did not delete ({s2},{d2})")
     return choice, nxt
 
 
 def _case_3a(state: MarkState, s1, d1, s2, s3, d2, entered_from: str
-             ) -> tuple[PivotChoice | None, MarkState]:
+             ) -> tuple[PivotResult | None, MarkState]:
     """Marked: (s1,d1), (s2,d1), (s2,d2). Only (s3,d2) of the path is not.
 
     Entry requires d2 mixed in the target; the dispatcher tracks where
@@ -517,20 +497,16 @@ def _case_3a(state: MarkState, s1, d1, s2, s3, d2, entered_from: str
             f"with demand {d2} not mixed in the target"
         )
     leaves = [e for e in _f_leaf_edges(sup_f, s3) if e not in state.marked]
-    present = [e for e in leaves if e in sup_o]
-    if present:
-        return _mark_only(state, present[0])
-    via_s2 = [e for e in leaves if (s2, e[1]) in sup_o]
-    if via_s2:
-        return _pivot_mark(state, via_s2[0])
     if leaves:
-        return _pivot_mark(state, leaves[0])
+        present = [e for e in leaves if e in sup_o]
+        via_s2 = [e for e in leaves if (s2, e[1]) in sup_o]
+        return _mark(state, (present or via_s2 or leaves)[0])
     if (s3, d2) not in sup_f:
         raise UnreachableCaseError("path end edge missing from the target")
-    return _mark_only(state, (s3, d2))
+    return _mark(state, (s3, d2))
 
 
-def _case_3b(state: MarkState, s1, d1, s2, s3, d2) -> tuple[PivotChoice | None, MarkState]:
+def _case_3b(state: MarkState, s1, d1, s2, s3, d2) -> tuple[PivotResult | None, MarkState]:
     """Marked: (s1,d1), (s2,d1), (s3,d2). The middle edge (s2,d2) is not."""
     sup_f = state.target.support
     sup_o = state.current.support
@@ -551,11 +527,11 @@ def _case_3b(state: MarkState, s1, d1, s2, s3, d2) -> tuple[PivotChoice | None, 
     others = [a for a in (s1, s2) if (a, d3) in sup_f]
     if len(others) != 1:
         raise UnreachableCaseError(f"demand {d3} does not have target degree 2")
-    return _pivot_mark(state, (others[0], d3))
+    return _mark(state, (others[0], d3))
 
 
 def _dispatch_3xn(state: MarkState, prev: str, trace: MarkTrace
-                  ) -> tuple[PivotChoice | None, MarkState, str]:
+                  ) -> tuple[PivotResult | None, MarkState, str]:
     sup = state.current.support
     mixed = _mixed_demands(sup)
 
@@ -564,8 +540,7 @@ def _dispatch_3xn(state: MarkState, prev: str, trace: MarkTrace
         cands = [a for a in range(3) if (a, delta) not in state.marked]
         if not cands:
             raise UnreachableCaseError("full star marked before completion")
-        choice, nxt = _mark_round(state, cands[0], trace)
-        return choice, nxt, f"star round at supply {cands[0]}"
+        return (*_mark_round(state, cands[0], trace), f"star round at supply {cands[0]}")
 
     end_a, d_a, mid, d_b, end_b = _mixed_path_3xn(sup)
     seq = [(end_a, d_a), (mid, d_a), (mid, d_b), (end_b, d_b)]
@@ -583,24 +558,19 @@ def _dispatch_3xn(state: MarkState, prev: str, trace: MarkTrace
         raise UnreachableCaseError("full path marked before completion")
     roles = (end_a, d_a, mid, end_b, d_b)
     if pattern == (1, 2):
-        choice, nxt = _case_2b(state, *roles)
-        return choice, nxt, "two marks at one end"
+        return (*_case_2b(state, *roles), "two marks at one end")
     if pattern == (1, 2, 3):
-        choice, nxt = _case_3a(state, *roles, entered_from=prev)
-        return choice, nxt, "three marks, path end open"
+        return (*_case_3a(state, *roles, entered_from=prev), "three marks, path end open")
     if pattern == (1, 2, 4):
-        choice, nxt = _case_3b(state, *roles)
-        return choice, nxt, "three marks, middle open"
+        return (*_case_3b(state, *roles), "three marks, middle open")
     if pattern == (1, 4):
-        choice, nxt = _mark_round(state, mid, trace)
-        return choice, nxt, f"path round at middle supply {mid}"
+        return (*_mark_round(state, mid, trace), f"path round at middle supply {mid}")
     # Only (), (1), (2) and (1, 3) are left. end_a fits when every marked
     # position is even, end_b when every one is odd; this picks the
     # smaller fitting end, as () is never mirrored and so has
     # end_a < end_b. _mark_round's parity check still guards the choice.
     end = end_a if all(p % 2 == 0 for p in pattern) else end_b
-    choice, nxt = _mark_round(state, end, trace)
-    return choice, nxt, f"path round at end supply {end}"
+    return (*_mark_round(state, end, trace), f"path round at end supply {end}")
 
 
 def edge_walk_3xn(O: Assignment, F: Assignment) -> Walk:
@@ -658,10 +628,7 @@ def cdfm_walk_2xn(O: Assignment, F: Assignment) -> Walk:
                     f"expected one over-full shared edge, found {surplus}"
                 )
             l, j = wrong[i_del][0], surplus[0]
-            if i_del == 0:
-                g = Circuit((1, 0), (l, j))
-            else:
-                g = Circuit((0, 1), (l, j))
+            g = Circuit((other, i_del), (l, j))
             if cur[other][j] <= cur[i_del][l]:
                 raise UnreachableCaseError("shared edge would be deleted")
         else:

@@ -57,7 +57,10 @@ def parse_rational(x) -> Fraction:
     if isinstance(x, Fraction):
         return x  # immutable, so no copy is needed
     if isinstance(x, str):
-        return Fraction(x.strip())
+        try:
+            return Fraction(x.strip())
+        except (ValueError, ZeroDivisionError):
+            raise TransportError(f"cannot read a rational from {x!r}") from None
     raise TransportError(f"cannot read a rational from {x!r}")
 
 
@@ -88,10 +91,6 @@ def as_matrix(rows) -> Matrix:
     if not mat or any(len(row) != len(mat[0]) for row in mat):
         raise TransportError("matrix rows must be nonempty and equal length")
     return mat
-
-
-def zero_matrix(m: int, n: int) -> Matrix:
-    return tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(m))
 
 
 @dataclass(frozen=True)
@@ -242,10 +241,6 @@ class Circuit:
         )
         object.__setattr__(self, "_signs", dict.fromkeys(self._increased, 1)
                            | dict.fromkeys(self._decreased, -1))
-
-    @property
-    def k(self) -> int:
-        return len(self.supplies)
 
     def increased(self) -> tuple[Edge, ...]:
         return self._increased

@@ -30,7 +30,10 @@ from .core import (
     parse_rational,
 )
 from .oracle import _reduce, cd_at_most
-from .polytope import _solve_tree, is_nondegenerate, northwest_corner
+from .polytope import _require_vertex, _solve_tree, is_nondegenerate, northwest_corner
+
+MAX_HALVINGS = 6     # perturb_certified's eps halvings before it gives up
+MAX_TRIES = 200000   # random_instance's margin draws before it gives up
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,9 +51,8 @@ class GeneratedCase:
         object.__setattr__(self, "circuits", tuple(self.circuits))
         if self.O.inst != self.inst or self.F.inst != self.inst:
             raise TransportError("case endpoints disagree with the instance")
-        for a, name in ((self.O, "O"), (self.F, "F")):
-            if not a.is_vertex():
-                raise TransportError(f"case endpoint {name} is not a vertex")
+        _require_vertex(self.O, "case endpoint O")
+        _require_vertex(self.F, "case endpoint F")
 
 
 def _row_swap(a: Assignment) -> Assignment:
@@ -233,13 +235,12 @@ def perturb(case: GeneratedCase, eps) -> GeneratedCase:
 
 
 def perturb_certified(case: GeneratedCase, eps=Fraction(1, 1024),
-                      max_halvings: int = 6, cap_solves: int = 10 ** 7
-                      ) -> tuple[GeneratedCase, int]:
+                      cap_solves: int = 10 ** 7) -> tuple[GeneratedCase, int]:
     """Perturb and have the span oracle certify the distance lower bound.
 
     The finiteness argument guarantees some small enough eps works; this
-    realizes it by halving until the oracle confirms that k-1 circuits
-    no longer reach the target while k still do.
+    realizes it by halving, at most MAX_HALVINGS times, until the oracle
+    confirms that k-1 circuits no longer reach the target while k still do.
     """
     k = case.expected.get("perturbed_min_circuits")
     if k is None:
@@ -247,7 +248,7 @@ def perturb_certified(case: GeneratedCase, eps=Fraction(1, 1024),
     eps = parse_rational(eps)
     if eps <= 0:
         raise TransportError("certifying needs a positive perturbation size")
-    for _ in range(max_halvings + 1):
+    for _ in range(MAX_HALVINGS + 1):
         cand = perturb(case, eps)
         below = cd_at_most(cand.O, cand.F, k - 1, cap_solves=cap_solves)
         at = cd_at_most(cand.O, cand.F, k, cap_solves=cap_solves)
@@ -257,19 +258,19 @@ def perturb_certified(case: GeneratedCase, eps=Fraction(1, 1024),
             return cand, k
         eps = eps / 2
     raise ResourceLimitError(
-        f"no certifying perturbation within {max_halvings} halvings"
+        f"no certifying perturbation within {MAX_HALVINGS} halvings"
     )
 
 
-def random_instance(rng: random.Random, m: int, n: int, low: int = 1,
-                    high: int = 50, max_tries: int = 200000) -> Instance:
-    """Uniform integer margins in [low, high], resampled until they
-    balance and are non-degenerate."""
+def random_instance(rng: random.Random, m: int, n: int, high: int = 50
+                    ) -> Instance:
+    """Uniform integer margins in [1, high], resampled (at most MAX_TRIES
+    draws) until they balance and are non-degenerate."""
     if m < 2 or n < 2:
         raise TransportError(f"random instances need m, n >= 2, not {m}x{n}")
-    for _ in range(max_tries):
-        u = [rng.randint(low, high) for _ in range(m)]
-        v = [rng.randint(low, high) for _ in range(n)]
+    for _ in range(MAX_TRIES):
+        u = [rng.randint(1, high) for _ in range(m)]
+        v = [rng.randint(1, high) for _ in range(n)]
         if sum(u) != sum(v):
             continue
         inst = Instance(u, v)

@@ -35,13 +35,12 @@ from .polytope import VertexSet, enumerate_vertices
 
 @dataclass(frozen=True)
 class DistanceTable:
-    """Distances for vertex pairs of one instance under one kind.
+    """Edge-walk (CD_e) distances for vertex pairs of one instance.
 
     rows[a][b] is the distance from vertex a to vertex b, as indices into
     the vertex set: one breadth-first-search row per vertex.
     """
 
-    kind: str
     verts: VertexSet
     rows: tuple[tuple[int, ...], ...]
 
@@ -106,7 +105,7 @@ def graph_distance_table(inst: Instance, cap_trees: int = 10**7) -> DistanceTabl
     verts = enumerate_vertices(inst, cap_trees=cap_trees)
     adj = _adjacency(verts)
     rows = tuple(tuple(_bfs(adj, a)) for a in range(len(verts)))
-    return DistanceTable("CD_e", verts, rows)
+    return DistanceTable(verts, rows)
 
 
 def graph_diameter(inst: Instance, cap_trees: int = 10**7) -> int:

@@ -330,6 +330,17 @@ def test_failure_classes_exit_codes(monkeypatch, exc, code):
     assert ("report" in err) == (code == 3)
 
 
+@pytest.mark.parametrize("args", [
+    ["vertices", "--u", "1/0,1", "--v", "1,1"],
+    ["perturb", "--gen", "example1", "--eps", "1/0"],
+])
+def test_unreadable_rational_is_an_input_error(args):
+    proc = subprocess.run([sys.executable, "-m", "tpwalk.cli", *args],
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: cannot read a rational from '1/0'\n"
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "tpwalk.cli", "oracle", "--gen", "example1",

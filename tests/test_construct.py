@@ -9,6 +9,7 @@ from tpwalk import (
     DegenerateError,
     Instance,
     MarkState,
+    PivotResult,
     TransportError,
     UnreachableCaseError,
     cdfm_walk_2xn,
@@ -88,9 +89,18 @@ def test_mark_state_validation(three_by_three):
 def test_mark_pivot_single_round(case):
     state = MarkState(case.O, frozenset(), case.F)
     choice, after = mark_pivot(state, 0)
-    assert choice.inserted == (0, 2)
-    assert choice.deleted == (0, 1)
+    assert isinstance(choice, PivotResult)
+    assert choice.result == after.current
+    assert choice.deleted == {(0, 1)}
     assert choice.alpha == 1
+    assert after.marked == frozenset({(0, 2)})
+
+
+def test_mark_pivot_free_mark(case):
+    """A target edge already present is marked without a pivot."""
+    choice, after = mark_pivot(MarkState(case.F, frozenset(), case.F), 0)
+    assert choice is None
+    assert after.current is case.F
     assert after.marked == frozenset({(0, 2)})
 
 

@@ -19,7 +19,6 @@ from tpwalk import (
     objective,
     parse_rational,
     support_graph,
-    zero_matrix,
 )
 
 
@@ -45,6 +44,12 @@ def test_parse_rational_refuses_float():
         parse_rational(1.5)
 
 
+@pytest.mark.parametrize("raw", ["1/0", "abc"])
+def test_parse_rational_refuses_unreadable_string(raw):
+    with pytest.raises(TransportError, match="cannot read a rational"):
+        parse_rational(raw)
+
+
 @given(st.fractions())
 @settings(deadline=None, max_examples=50)
 def test_rational_roundtrip(q):
@@ -60,10 +65,6 @@ def test_as_matrix_rejects_ragged():
         as_matrix(5)
     with pytest.raises(TransportError, match="cannot read a matrix"):
         as_matrix([1, 2])
-
-
-def test_zero_matrix():
-    assert zero_matrix(2, 3) == ((0, 0, 0), (0, 0, 0))
 
 
 def test_instance_validation():

@@ -130,12 +130,12 @@ def test_generated_case_validates_endpoints():
 
 def test_random_instance_contract():
     rng = random.Random("ri:0")
-    inst = random_instance(rng, 2, 4, low=1, high=30)
+    inst = random_instance(rng, 2, 4, high=30)
     assert (inst.m, inst.n) == (2, 4)
     assert is_nondegenerate(inst)
     assert sum(inst.u) == sum(inst.v)
     assert all(x == int(x) for x in inst.u + inst.v)
-    again = random_instance(random.Random("ri:0"), 2, 4, low=1, high=30)
+    again = random_instance(random.Random("ri:0"), 2, 4, high=30)
     assert again == inst
 
 
