@@ -98,9 +98,9 @@ class Instance:
     """Margins of a transportation problem: supplies u, demands v.
 
     Entries must be strictly positive and balance exactly. The vertex
-    set and its neighbor graph are computed at most once per object and
-    held in _derived; they point back at the object, so the cycle
-    collector frees them. Equal instances compare and hash equal
+    set, which carries its neighbor graph, is computed at most once per
+    object and held in _derived; it points back at the object, so the
+    cycle collector frees it. Equal instances compare and hash equal
     regardless.
     """
 

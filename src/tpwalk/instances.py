@@ -55,20 +55,19 @@ class GeneratedCase:
         _require_vertex(self.F, "case endpoint F")
 
 
-def _row_swap(a: Assignment) -> Assignment:
-    return Assignment(a.inst, (a.flows[1], a.flows[0]))
+def _mirrored(provenance: str, u, v, expected: dict, circuits=()) -> GeneratedCase:
+    """A two-row case from its northwest corner to that vertex with its
+    rows swapped."""
+    inst = Instance(u, v)
+    O = northwest_corner(inst)
+    F = Assignment(inst, (O.flows[1], O.flows[0]))
+    return GeneratedCase(provenance, inst, O, F, expected, circuits)
 
 
 def gen_example1() -> GeneratedCase:
     """The 2x3 running example: northwest corner vs its row mirror."""
-    inst = Instance((3, 3), (2, 2, 2))
-    O = northwest_corner(inst)
-    F = _row_swap(O)
-    return GeneratedCase(
-        "example1",
-        inst,
-        O,
-        F,
+    return _mirrored(
+        "example1", (3, 3), (2, 2, 2),
         expected={
             "edge_distance": 2,
             "graph_distance": 3,
@@ -83,14 +82,8 @@ def gen_coincide(n: int) -> GeneratedCase:
     """2xn family where maximal-step distance and diameter meet at n-1."""
     if n < 2:
         raise TransportError("needs n >= 2")
-    inst = Instance((2 * n - 1, 2 * n - 1), (2 * n,) + (2,) * (n - 1))
-    O = northwest_corner(inst)
-    F = _row_swap(O)
-    return GeneratedCase(
-        f"coincide(n={n})",
-        inst,
-        O,
-        F,
+    return _mirrored(
+        f"coincide(n={n})", (2 * n - 1, 2 * n - 1), (2 * n,) + (2,) * (n - 1),
         expected={
             "cdfm_distance": n - 1,
             "graph_diameter": n - 1,
@@ -103,16 +96,8 @@ def gen_diameter_n(n: int) -> GeneratedCase:
     """2xn pair at graph distance exactly n: the edge bound is tight."""
     if n < 3:
         raise TransportError("needs n >= 3")
-    inst = Instance((2 * n - 3, 2 * n - 3), (2 * n - 4,) + (2,) * (n - 1))
-    O = northwest_corner(inst)
-    F = _row_swap(O)
-    return GeneratedCase(
-        f"diameter_n(n={n})",
-        inst,
-        O,
-        F,
-        expected={"graph_distance": n},
-    )
+    return _mirrored(f"diameter_n(n={n})", (2 * n - 3, 2 * n - 3),
+                     (2 * n - 4,) + (2,) * (n - 1), {"graph_distance": n})
 
 
 def _lower_bound_circuits(m: int, n: int) -> list[Circuit]:

@@ -2,9 +2,9 @@
 
 Three notions, three engines. Skeleton distance is BFS on the neighbor
 graph that enumerate_vertices builds in the same pivot search as the
-vertex set; both are held by the Instance object (freed with it by the
-cycle collector), so each further distance is one BFS. Equal but
-distinct Instance objects share nothing. Points enter as exact
+vertex set, which carries it; the Instance object holds that set (freed
+with it by the cycle collector), so each further distance is one BFS.
+Equal but distinct Instance objects share nothing. Points enter as exact
 rationals; the two circuit oracles scale them once by their least
 common denominator and search over exact integers. The maximal-step
 distance runs BFS over flat integer flow states, stepping by each
@@ -55,29 +55,13 @@ class DistanceTable:
 def neighbor_graph(verts: VertexSet) -> list[list[int]]:
     """Adjacency lists over vertex indices, each sorted.
 
-    The graph comes from the pivot search of enumerate_vertices and is
-    held by the instance; each call returns fresh lists. A hand-built set
-    gets the subgraph it induces, which may be disconnected; building it
-    enumerates the instance, under the default cap_trees.
+    The graph is the one the set carries: for enumerate_vertices, the
+    skeleton graph from its pivot search. Each call returns fresh lists.
     """
-    return [list(row) for row in _adjacency(verts)]
+    return [list(row) for row in verts.graph]
 
 
-def _adjacency(verts: VertexSet) -> tuple[tuple[int, ...], ...]:
-    """The neighbor graph, held by the instance beside its vertex set."""
-    held = verts.inst._derived
-    if held.get("vertices") is verts:
-        return held["graph"]
-    full = enumerate_vertices(verts.inst)
-    old = [full.index_of(a) for a in verts]
-    where: dict[int, list[int]] = {}
-    for pos, p in enumerate(old):
-        where.setdefault(p, []).append(pos)
-    return tuple(tuple(sorted(b for q in held["graph"][p] for b in where.get(q, ())))
-                 for p in old)
-
-
-def _bfs(adj: list[list[int]], source: int) -> list[int]:
+def _bfs(adj: tuple[tuple[int, ...], ...], source: int) -> list[int]:
     dist = [-1] * len(adj)
     dist[source] = 0
     queue = [source]
@@ -97,21 +81,20 @@ def graph_distance(O: Assignment, F: Assignment, cap_trees: int = 10**7) -> int:
     if O.inst != F.inst:
         raise TransportError("graph distance needs a common instance")
     verts = enumerate_vertices(O.inst, cap_trees=cap_trees)
-    return _bfs(_adjacency(verts), verts.index_of(O))[verts.index_of(F)]
+    return _bfs(verts.graph, verts.index_of(O))[verts.index_of(F)]
 
 
 def graph_distance_table(inst: Instance, cap_trees: int = 10**7) -> DistanceTable:
     """All-pairs skeleton distances, one BFS per vertex."""
     verts = enumerate_vertices(inst, cap_trees=cap_trees)
-    adj = _adjacency(verts)
-    rows = tuple(tuple(_bfs(adj, a)) for a in range(len(verts)))
+    rows = tuple(tuple(_bfs(verts.graph, a)) for a in range(len(verts)))
     return DistanceTable(verts, rows)
 
 
 def graph_diameter(inst: Instance, cap_trees: int = 10**7) -> int:
     """The largest skeleton distance, by one BFS per vertex."""
-    adj = _adjacency(enumerate_vertices(inst, cap_trees=cap_trees))
-    return max(max(_bfs(adj, a)) for a in range(len(adj)))
+    graph = enumerate_vertices(inst, cap_trees=cap_trees).graph
+    return max(max(_bfs(graph, a)) for a in range(len(graph)))
 
 
 def _circuit_set(inst: Instance, circuits: CircuitSet | None) -> CircuitSet:
@@ -228,11 +211,10 @@ def cd_at_most(
     later candidate once, and a candidate that vanishes leaves the whole
     subtree. One more circuit reaches the target iff some candidate lies
     on the target's line; two more iff two candidates on distinct lines
-    fall on one line once the target's pivot is eliminated too. Deeper
-    choices pass a support-coverage prune. Exact throughout: the
-    difference is scaled once by its least common denominator, and the
-    candidates come from the set's compiled cells. A solve is one
-    candidate elimination.
+    fall on one line once the target's pivot is eliminated too. Exact
+    throughout: the difference is scaled once by its least common
+    denominator, and the candidates come from the set's compiled cells. A
+    solve is one candidate elimination.
     """
     if O.inst != F.inst:
         raise TransportError("distance needs a common instance")
@@ -257,14 +239,11 @@ def cd_at_most(
     target = _normalize_row([diff[c] for c in coords])
     if target is None:
         raise UnreachableCaseError("nonzero difference projected to zero")
-    target_mask = sum(1 << c for c, x in enumerate(diff) if x)
 
     cands = []
     for inc, dec in cs.flat():
         sign = dict.fromkeys(inc, 1) | dict.fromkeys(dec, -1)
-        cands.append((_normalize_row([sign.get(c, 0) for c in coords]),
-                      sum(1 << c for c in sign)))
-    max_support = 2 * min(m, n)
+        cands.append(_normalize_row([sign.get(c, 0) for c in coords]))
     solves = 0
     deepest = 0
 
@@ -278,39 +257,35 @@ def cd_at_most(
             )
         return vec if not vec[pivot] else _reduce(vec, ((pivot, row),))
 
-    def dfs(cands, residual, cover: int, depth: int) -> bool:
+    def dfs(cands, residual, depth: int) -> bool:
         nonlocal deepest
         deepest = max(deepest, depth)
         if k - depth == 2:
             pivot = next(p for p, x in enumerate(residual) if x)
             first_on_line = {}
-            for vec, _ in cands:
+            for vec in cands:
                 line = eliminate(vec, pivot, residual)
                 # None: vec lies on the residual's line, so one suffices.
                 if line is None or first_on_line.setdefault(line, vec) != vec:
                     return True
             return False
-        if any(vec == residual for vec, _ in cands):
+        if residual in cands:
             return True
         if k - depth == 1:
             return False
-        for idx, (vec, mask) in enumerate(cands):
-            new_cover = cover | mask
-            missing = (target_mask & ~new_cover).bit_count()
-            if missing and depth + 1 + (missing + max_support - 1) // max_support > k:
-                continue
+        for idx, vec in enumerate(cands):
             vpivot = next(p for p, x in enumerate(vec) if x)
             rest = []
-            for later, later_mask in cands[idx + 1:]:
+            for later in cands[idx + 1:]:
                 red = eliminate(later, vpivot, vec)
                 if red is not None:
-                    rest.append((red, later_mask))
+                    rest.append(red)
             new_res = _reduce(residual, ((vpivot, vec),))
-            if dfs(rest, new_res, new_cover, depth + 1):
+            if dfs(rest, new_res, depth + 1):
                 return True
         return False
 
-    return dfs(cands, target, 0, 0)
+    return dfs(cands, target, 0)
 
 
 def cd_minimum(

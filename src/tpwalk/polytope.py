@@ -119,13 +119,20 @@ def _solve_tree(inst: Instance, edges) -> Matrix | None:
 
 @dataclass(frozen=True)
 class VertexSet:
-    """All vertices of an instance, sorted by flow matrix."""
+    """All vertices of an instance, sorted by flow matrix, and their
+    skeleton graph: graph[a] is the sorted tuple of vertex a's neighbour
+    indices."""
 
     inst: Instance
     vertices: tuple[Assignment, ...]
+    graph: tuple[tuple[int, ...], ...]
     _index: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
+        if len(self.graph) != len(self.vertices):
+            raise TransportError(
+                f"{len(self.graph)} graph rows for {len(self.vertices)} vertices"
+            )
         self._index.update({a.flows: p for p, a in enumerate(self.vertices)})
 
     def __len__(self) -> int:
@@ -165,8 +172,8 @@ def enumerate_vertices(inst: Instance, cap_trees: int = 10**7) -> VertexSet:
     that flow leaves for a neighbour basis, and a positive step is a
     skeleton edge (the pivots of reverse search: Avis and Fukuda, Discrete
     Comput. Geom. 8, 1992). cap_trees bounds the spanning trees, hence
-    the bases. The Instance object holds the VertexSet and the graph
-    (sorted index rows); later calls return them after the cap check.
+    the bases. The Instance object holds the VertexSet, which carries the
+    graph; later calls return it after the cap check.
     """
     m, n = inst.m, inst.n
     total = tree_count(m, n)
@@ -212,11 +219,12 @@ def enumerate_vertices(inst: Instance, cap_trees: int = 10**7) -> VertexSet:
                     queue.append((nxt, z))
     order = sorted(nbrs)
     rank = {y: p for p, y in enumerate(order)}
-    held["graph"] = tuple(tuple(sorted(rank[z] for z in nbrs[y])) for y in order)
+    graph = tuple(tuple(sorted(rank[z] for z in nbrs[y])) for y in order)
     lcd = sum(scaled[:m]) // sum(inst.u)
     grids = ([[Fraction(x, lcd) for x in y[i * n:(i + 1) * n]] for i in range(m)]
              for y in order)
-    held["vertices"] = VertexSet(inst, tuple(Assignment(inst, g) for g in grids))
+    held["vertices"] = VertexSet(inst, tuple(Assignment(inst, g) for g in grids),
+                                 graph)
     return held["vertices"]
 
 

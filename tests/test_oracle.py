@@ -28,7 +28,6 @@ from tpwalk import (
     is_nondegenerate,
     max_step,
     neighbor_graph,
-    northwest_corner,
     perturb,
     random_instance,
     vertex_neighbors,
@@ -115,52 +114,16 @@ def test_neighbor_graph_returns_fresh_lists(case):
     assert all(len(row) == 2 for row in neighbor_graph(verts))
 
 
-def test_hand_built_vertex_set_gets_its_own_graph():
-    inst = Instance((1, 3, 4), (2, 3, 3))
-    verts = enumerate_vertices(inst)
-    full = neighbor_graph(verts)
-    star = VertexSet(inst, tuple(verts[i] for i in [0, *full[0]]))
-    adj = neighbor_graph(star)
-    assert len(adj) == len(star) < len(verts)
-    assert adj[0] == list(range(1, len(star)))
-    assert neighbor_graph(verts) == full
-
-
-def _induced(full, keep):
-    pos = {old: new for new, old in enumerate(keep)}
-    return [[pos[b] for b in full[a] if b in pos] for a in keep]
-
-
-def test_hand_built_vertex_set_gets_its_induced_graph():
-    # Non-degenerate: a neighbor of the star's rim lies outside the star.
-    inst = Instance((10, 38, 33), (21, 15, 45))
-    verts = enumerate_vertices(inst)
-    full = neighbor_graph(verts)
-    keep = [0, *full[0]]
-    star = VertexSet(inst, tuple(verts[i] for i in keep))
-    assert neighbor_graph(star) == _induced(full, keep)
-
-
-def test_hand_built_vertex_set_may_be_disconnected():
-    # Caller input, not a broken invariant: no connectivity trap here.
-    inst = Instance((1, 3, 4), (2, 3, 3))
-    verts = enumerate_vertices(inst)
-    far = next(b for b in range(1, len(verts)) if b not in neighbor_graph(verts)[0])
-    assert neighbor_graph(VertexSet(inst, (verts[0], verts[far]))) == [[], []]
-    mid = Assignment(inst, [[(x + y) / 2 for x, y in zip(r, s)]
-                            for r, s in zip(verts[0].flows, verts[far].flows)])
-    other = enumerate_vertices(Instance((1, 3, 4), (3, 3, 2)))[0]
-    for stranger in (mid, other):
+def test_vertex_set_carries_its_graph():
+    degenerate = Instance((1, 3, 4), (2, 3, 3))
+    for inst in (gen_example1().inst, degenerate):
+        verts = enumerate_vertices(inst)
+        assert verts.graph == tuple(map(tuple, neighbor_graph(verts)))
+        assert graph_distance_table(inst).verts.graph is verts.graph
+        pair = VertexSet(inst, verts.vertices[:2], ((1,), (0,)))
+        assert neighbor_graph(pair) == [[1], [0]]
         with pytest.raises(TransportError):
-            neighbor_graph(VertexSet(inst, (verts[0], stranger)))
-
-
-def test_hand_built_vertex_set_beyond_the_tree_cap():
-    # 2^21 * 22 spanning trees: the induced graph needs the whole instance.
-    inst = Instance((Fraction(21, 2), Fraction(23, 2)), (1,) * 22)
-    star = VertexSet(inst, (northwest_corner(inst),))
-    with pytest.raises(ResourceLimitError, match="spanning trees exceeds cap"):
-        neighbor_graph(star)
+            VertexSet(inst, verts.vertices, verts.graph[:-1])
 
 
 def test_non_vertex_endpoints_are_refused(case):
