@@ -518,7 +518,11 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--to", dest="dst", help="target flows JSON file")
     src.add_argument("--out", help="output path (.json or .csv)")
     src.add_argument("--cap-trees", type=int, default=10 ** 7)
-    src.add_argument("--cap-states", type=int, default=10 ** 6)
+    src.add_argument(
+        "--cap-states", type=int, default=10 ** 6,
+        help="cap on the maximal-step states of oracle --kind cdfm, and on "
+             "the span-search solves (cap_solves) of oracle --kind cd, "
+             "perturb --certify and verify --suite lowerbound (default 10^6)")
     src.add_argument("--seed", type=int, default=0)
     src.add_argument("--workers", type=int, default=1)
 

@@ -13,7 +13,8 @@ linear algebra: a difference vector is reachable in k unrestricted
 steps iff it lies in the span of at most k circuits, since orientations
 absorb signs and zero coefficients shrink the set. The span search
 works in kernel coordinates, dimension (m-1)(n-1), with a fraction-free
-integer echelon that is extended one row at a time.
+integer echelon that is extended one row at a time by a single-row
+elimination step, and it keeps each distinct line of its candidates once.
 """
 
 from __future__ import annotations
@@ -176,21 +177,38 @@ def _normalize_row(row) -> tuple[int, ...] | None:
     g = gcd(*row)
     if g == 0:
         return None
-    lead = next(x for x in row if x != 0)
+    for lead in row:
+        if lead:
+            break
     if lead < 0:
         g = -g
-    return tuple(x // g for x in row)
+    return tuple([x // g for x in row])
+
+
+def _eliminate(vec, pivot: int, row) -> tuple[int, ...] | None:
+    """One fraction-free elimination step, the span search's kernel.
+
+    vec and row are in _normalize_row's form, and pivot is row's leading
+    index. Returns vec with its pivot entry cleared by one cross-multiply,
+    in that form again, or None when vec lies on row's line; vec itself
+    when that entry is already zero.
+    """
+    c = vec[pivot]
+    if not c:
+        return vec
+    f = row[pivot]
+    return _normalize_row([f * a - c * b for a, b in zip(vec, row)])
 
 
 def _reduce(vec, basis) -> tuple[int, ...] | None:
-    """Fraction-free elimination of vec against echelon rows."""
-    cur = vec
+    """vec reduced against echelon rows, one _eliminate step per row, in
+    _normalize_row's form; None once it vanishes."""
+    cur = _normalize_row(vec)
     for pivot, row in basis:
-        c = cur[pivot]
-        if c:
-            f = row[pivot]
-            cur = [f * a - c * b for a, b in zip(cur, row)]
-    return _normalize_row(cur)
+        if cur is None:
+            break
+        cur = _eliminate(cur, pivot, row)
+    return cur
 
 
 def cd_at_most(
@@ -211,10 +229,17 @@ def cd_at_most(
     later candidate once, and a candidate that vanishes leaves the whole
     subtree. One more circuit reaches the target iff some candidate lies
     on the target's line; two more iff two candidates on distinct lines
-    fall on one line once the target's pivot is eliminated too. Exact
-    throughout: the difference is scaled once by its least common
-    denominator, and the candidates come from the set's compiled cells. A
-    solve is one candidate elimination.
+    fall on one line once the target's pivot is eliminated too.
+
+    Each distinct line is searched once: repeats are dropped from the root
+    candidates and from every node's reduced candidates, keeping the first
+    occurrence. Two equal reduced candidates span the same space together
+    with the basis, so a subset that uses the later one is matched by the
+    same subset with the earlier one, which the search reaches too, and a
+    subset that uses both is dependent. Exact throughout: the difference
+    is scaled once by its least common denominator, and the candidates
+    come from the set's compiled cells. A solve is one candidate
+    elimination.
     """
     if O.inst != F.inst:
         raise TransportError("distance needs a common instance")
@@ -255,19 +280,22 @@ def cd_at_most(
                 f"circuit-subset search for k={k} exceeded {cap_solves} "
                 f"solves (largest basis reached: {deepest})"
             )
-        return vec if not vec[pivot] else _reduce(vec, ((pivot, row),))
+        return _eliminate(vec, pivot, row)
 
     def dfs(cands, residual, depth: int) -> bool:
         nonlocal deepest
         deepest = max(deepest, depth)
         if k - depth == 2:
             pivot = next(p for p, x in enumerate(residual) if x)
-            first_on_line = {}
+            lines = set()
             for vec in cands:
                 line = eliminate(vec, pivot, residual)
                 # None: vec lies on the residual's line, so one suffices.
-                if line is None or first_on_line.setdefault(line, vec) != vec:
+                # The candidates are distinct lines, so a repeat is two
+                # of them falling on one line.
+                if line is None or line in lines:
                     return True
+                lines.add(line)
             return False
         if residual in cands:
             return True
@@ -275,17 +303,17 @@ def cd_at_most(
             return False
         for idx, vec in enumerate(cands):
             vpivot = next(p for p, x in enumerate(vec) if x)
-            rest = []
+            rest = {}
             for later in cands[idx + 1:]:
                 red = eliminate(later, vpivot, vec)
                 if red is not None:
-                    rest.append(red)
-            new_res = _reduce(residual, ((vpivot, vec),))
-            if dfs(rest, new_res, depth + 1):
+                    rest[red] = None
+            new_res = _eliminate(residual, vpivot, vec)
+            if dfs(list(rest), new_res, depth + 1):
                 return True
         return False
 
-    return dfs(cands, target, 0)
+    return dfs(list(dict.fromkeys(cands)), target, 0)
 
 
 def cd_minimum(

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 import pytest
 
@@ -286,6 +287,98 @@ def test_cd_matches_subset_reference():
             assert cd_at_most(O, F, want, circuits=rotated), r
             if want:
                 assert not cd_at_most(O, F, want - 1, circuits=rotated), r
+
+
+def _reference_cd_at_most(O, F, k, circuits) -> bool:
+    """The span search before it dropped repeated lines: DFS over
+    index-increasing circuit subsets that reduces every later candidate
+    against each chosen circuit and keeps every copy of a line, with its
+    own integer elimination and no cap."""
+    m, n = O.inst.m, O.inst.n
+
+    def primitive(row):
+        g = gcd(*row)
+        if g == 0:
+            return None
+        lead = next(x for x in row if x)
+        return tuple(x // (g if lead > 0 else -g) for x in row)
+
+    def eliminate(vec, pivot, row):
+        c = vec[pivot]
+        if not c:
+            return vec
+        return primitive([row[pivot] * a - c * b for a, b in zip(vec, row)])
+
+    coords = [i * n + j for i in range(m - 1) for j in range(n - 1)]
+    diff = [F.flows[i][j] - O.flows[i][j] for i in range(m) for j in range(n)]
+    scale = lcm(*(x.denominator for x in diff))
+    target = primitive([int(diff[c] * scale) for c in coords])
+    if target is None:
+        return True
+    if k == 0:
+        return False
+    cands = [primitive([g.vector(m, n)[c] for c in coords]) for g in circuits]
+
+    def dfs(cands, residual, depth):
+        if k - depth == 2:
+            pivot = next(p for p, x in enumerate(residual) if x)
+            first_on_line = {}
+            for vec in cands:
+                line = eliminate(vec, pivot, residual)
+                if line is None or first_on_line.setdefault(line, vec) != vec:
+                    return True
+            return False
+        if residual in cands:
+            return True
+        if k - depth == 1:
+            return False
+        for idx, vec in enumerate(cands):
+            pivot = next(p for p, x in enumerate(vec) if x)
+            rest = [eliminate(later, pivot, vec) for later in cands[idx + 1:]]
+            if dfs([r for r in rest if r is not None],
+                   eliminate(residual, pivot, vec), depth + 1):
+                return True
+        return False
+
+    return dfs(cands, target, 0)
+
+
+def _reference_cd_minimum(O, F, circuits) -> int:
+    return next(k for k in range(O.inst.m + O.inst.n)
+                if _reference_cd_at_most(O, F, k, circuits))
+
+
+def test_cd_matches_the_search_that_keeps_repeated_lines_at_3x4(sharp3x4):
+    # Repeated lines only appear once a node has chosen a circuit, that is
+    # from k = 3 on, which 3x4 pairs reach and the brute force above is
+    # too slow for.
+    cs = enumerate_circuits(3, 4)
+    rotations = [CircuitSet(3, 4, cs.circuits[r:] + cs.circuits[:r])
+                 for r in (len(cs) // 3, 2 * len(cs) // 3)]
+    assert _reference_cd_minimum(sharp3x4.O, sharp3x4.F, cs) == 6
+    for c in [cs] + rotations:
+        # The reference's failing k = 5 search is this test's largest
+        # cost, so it runs once, in the enumeration order, above.
+        assert [cd_at_most(sharp3x4.O, sharp3x4.F, k, circuits=c)
+                for k in range(7)] == [k >= 6 for k in range(7)]
+    rng = random.Random("cd-reference-3x4")
+    verts = enumerate_vertices(random_instance(rng, 3, 4))
+    found = {}
+    while len(found) < 6:
+        O, F = (verts[i] for i in rng.sample(range(len(verts)), 2))
+        want = _reference_cd_minimum(O, F, cs)
+        if want >= 3:
+            found[O, F] = want
+    assert set(found.values()) == {3, 4, 5}
+    for O, F in found:
+        for c in [cs] + rotations:
+            want = [_reference_cd_at_most(O, F, k, c) for k in range(7)]
+            assert [cd_at_most(O, F, k, circuits=c) for k in range(7)] == want
+
+
+def test_failing_sharp_3x4_search_fits_in_100000_solves(sharp3x4):
+    # Keeping every copy of a line, this search takes 226,621 solves.
+    assert not cd_at_most(sharp3x4.O, sharp3x4.F, 5, cap_solves=100_000)
 
 
 def _reference_cdfm(O, F, depth_cap=None, cap_states=10**6, circuits=None):
