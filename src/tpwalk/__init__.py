@@ -32,13 +32,10 @@ from .construct import (
     MarkState,
     MarkTrace,
     cdfm_walk_2xn,
-    edge_walk_2xn,
     edge_walk_2xn_report,
-    edge_walk_3xn,
     edge_walk_3xn_report,
     lp_optimum_2xn,
     mark_pivot,
-    monotone_walk_2xn,
     monotone_walk_2xn_report,
 )
 from .instances import (
@@ -59,7 +56,6 @@ from .oracle import (
     graph_diameter,
     graph_distance,
     graph_distance_table,
-    neighbor_graph,
 )
 from .polytope import (
     HirschData,

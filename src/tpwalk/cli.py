@@ -55,7 +55,6 @@ from .oracle import (
     cdfm_distance,
     graph_distance,
     graph_diameter,
-    neighbor_graph,
 )
 from .polytope import (
     critical_edges,
@@ -227,10 +226,9 @@ def _cmd_vertices(args) -> int:
 def _cmd_adjacency(args) -> int:
     inst, _ = _load_instance(args)
     verts = enumerate_vertices(inst, cap_trees=args.cap_trees)
-    adj = neighbor_graph(verts)
     rows = [
         {"a": a, "b": b}
-        for a in range(len(adj)) for b in adj[a] if a < b
+        for a, row in enumerate(verts.graph) for b in row if a < b
     ]
     _emit(rows, ["a", "b"], args.out)
     return 0

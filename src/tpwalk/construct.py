@@ -33,7 +33,6 @@ from .core import (
     Edge,
     HypothesisError,
     Instance,
-    Matrix,
     TransportError,
     UnreachableCaseError,
     Walk,
@@ -119,9 +118,13 @@ class MarkTrace:
 
     marks: list[tuple[Edge, bool]] = field(default_factory=list)
     cases: list[str] = field(default_factory=list)
-    free_marks: int = 0
     protected: Edge | None = None
     step4_hits: int = 0
+
+    @property
+    def free_marks(self) -> int:
+        """Rounds that marked an edge already present, without a pivot."""
+        return sum(not pivoted for _, pivoted in self.marks)
 
 
 def _mark(state: MarkState, edge: Edge) -> tuple[PivotResult | None, MarkState]:
@@ -296,9 +299,7 @@ def _marking_walk(O: Assignment, F: Assignment, next_round
             raise UnreachableCaseError("a round must mark exactly one edge")
         trace.marks.append((next(iter(new)), choice is not None))
         trace.cases.append(label)
-        if choice is None:
-            trace.free_marks += 1
-        else:
+        if choice is not None:
             steps.append((choice.circuit, choice.alpha))
     else:
         raise UnreachableCaseError("marking did not finish in |F| rounds")
@@ -362,13 +363,9 @@ def _marking_walk_2xn(O: Assignment, F: Assignment, choose=None
     return walk, trace
 
 
-def edge_walk_2xn(O: Assignment, F: Assignment) -> Walk:
-    """Edge walk between 2xn vertices, length at most min(n, n+1-k)."""
-    return edge_walk_2xn_report(O, F)[0]
-
-
 def edge_walk_2xn_report(O: Assignment, F: Assignment) -> tuple[Walk, MarkTrace]:
-    """Same walk plus the marking trace (free marks, cases, protections)."""
+    """Edge walk between 2xn vertices, length at most min(n, n+1-k), and
+    its marking trace (free marks, cases, protections)."""
     _check_endpoints(O, F, 2)
     if not is_nondegenerate(O.inst):
         raise DegenerateError("edge walks need a non-degenerate instance")
@@ -378,38 +375,30 @@ def edge_walk_2xn_report(O: Assignment, F: Assignment) -> tuple[Walk, MarkTrace]
 # ------------------------------------------------- monotone 2xn variant
 
 def lp_optimum_2xn(inst: Instance, s) -> Assignment:
-    """Greedy optimizer of a linear objective over a 2xn polytope.
+    """Greedy optimizer of a linear objective over a 2xn polytope; the
+    target of monotone_walk_2xn_report.
 
     Sort columns stably by s_1j - s_2j, non-increasing. Serve the sorted
     prefix from supply 1 until it runs dry, split one column, serve the
     rest from supply 2: the northwest-corner rule in that column order.
     Non-degeneracy makes the split column proper, so the result is the
-    unique optimal vertex up to objective ties.
+    unique optimal vertex up to objective ties. Checks, in order: two
+    supplies, a 2xn cost matrix, a non-degenerate instance.
     """
     s = as_matrix(s)
-    _check_greedy(inst, s)
-    return _northwest_fill(inst, _greedy_order(s))
-
-
-def _check_greedy(inst: Instance, s: Matrix):
     if inst.m != 2:
         raise TransportError("needs exactly 2 supplies")
     if len(s) != 2 or len(s[0]) != inst.n:
         raise TransportError(f"cost matrix is not 2x{inst.n}")
     if not is_nondegenerate(inst):
         raise DegenerateError("greedy optimum needs a non-degenerate instance")
-
-
-def _greedy_order(s: Matrix) -> list[int]:
-    return sorted(range(len(s[0])), key=lambda j: s[1][j] - s[0][j])
-
-
-def monotone_walk_2xn(O: Assignment, s) -> Walk:
-    return monotone_walk_2xn_report(O, s)[0]
+    order = sorted(range(inst.n), key=lambda j: s[1][j] - s[0][j])
+    return _northwest_fill(inst, order)
 
 
 def monotone_walk_2xn_report(O: Assignment, s) -> tuple[Walk, MarkTrace]:
-    """Edge walk from O to the greedy optimum with nondecreasing objective.
+    """Edge walk of at most n steps from O to lp_optimum_2xn(O.inst, s),
+    with nondecreasing objective, and its marking trace.
 
     While the current mixed demand equals the target's, any round keeps
     the objective nondecreasing. Otherwise the sorted position of the
@@ -417,20 +406,18 @@ def monotone_walk_2xn_report(O: Assignment, s) -> tuple[Walk, MarkTrace]:
     supply runs the round: every insertion that supply can perform then
     has nonnegative reduced cost.
     """
-    inst = O.inst
     s = as_matrix(s)
-    _check_greedy(inst, s)
-    order = _greedy_order(s)
-    F = _northwest_fill(inst, order)
+    F = lp_optimum_2xn(O.inst, s)
     _check_endpoints(O, F, 2)
-    pos = {col: p for p, col in enumerate(order)}
     target_mixed = _mixed_pair_2xn(F.support)
+
+    def key(j):  # column j's place in lp_optimum_2xn's stable sort
+        return s[1][j] - s[0][j], j
 
     def choose(state, q, cands):
         if q == target_mixed:
             return cands[0]
-        want = 1 if pos[q] < pos[target_mixed] else 0
-        return want
+        return 1 if key(q) < key(target_mixed) else 0
 
     walk, trace = _marking_walk_2xn(O, F, choose=choose)
     values = [_dot(s, p) for p in walk.points]
@@ -573,12 +560,9 @@ def _dispatch_3xn(state: MarkState, prev: str, trace: MarkTrace
     return (*_mark_round(state, end, trace), f"path round at end supply {end}")
 
 
-def edge_walk_3xn(O: Assignment, F: Assignment) -> Walk:
-    """Edge walk between 3xn vertices, length at most n+2-k."""
-    return edge_walk_3xn_report(O, F)[0]
-
-
 def edge_walk_3xn_report(O: Assignment, F: Assignment) -> tuple[Walk, MarkTrace]:
+    """Edge walk between 3xn vertices, length at most n+2-k, and its
+    marking trace (cases, step-4 rounds)."""
     _check_endpoints(O, F, 3)
     if not is_nondegenerate(O.inst):
         raise DegenerateError("edge walks need a non-degenerate instance")

@@ -39,27 +39,15 @@ class DistanceTable:
     """Edge-walk (CD_e) distances for vertex pairs of one instance.
 
     rows[a][b] is the distance from vertex a to vertex b, as indices into
-    the vertex set: one breadth-first-search row per vertex.
+    the vertex set: one breadth-first-search row per vertex. The largest
+    entry is the diameter, which graph_diameter finds without the table.
     """
 
     verts: VertexSet
     rows: tuple[tuple[int, ...], ...]
 
-    @property
-    def diameter(self) -> int:
-        return max(map(max, self.rows), default=0)
-
     def distance(self, a: int, b: int) -> int:
         return self.rows[a][b]
-
-
-def neighbor_graph(verts: VertexSet) -> list[list[int]]:
-    """Adjacency lists over vertex indices, each sorted.
-
-    The graph is the one the set carries: for enumerate_vertices, the
-    skeleton graph from its pivot search. Each call returns fresh lists.
-    """
-    return [list(row) for row in verts.graph]
 
 
 def _bfs(adj: tuple[tuple[int, ...], ...], source: int) -> list[int]:

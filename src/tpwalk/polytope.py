@@ -28,6 +28,7 @@ from .core import (
     TransportError,
     _cycle_count,
     apply_circuit,
+    as_matrix,
     lcd_scale,
 )
 
@@ -145,12 +146,13 @@ class VertexSet:
         return self.vertices[pos]
 
     def index_of(self, a) -> int:
-        """Position of a vertex, given as an Assignment or a flow matrix."""
+        """Position of a vertex, given as an Assignment or a flow matrix
+        (any nested iterable of rationals that as_matrix reads)."""
         if isinstance(a, Assignment):
             if a.inst != self.inst:
                 raise TransportError("the point belongs to another instance")
             a = a.flows
-        pos = self._index.get(a)
+        pos = self._index.get(as_matrix(a))
         if pos is None:
             raise TransportError("the point is not a vertex of this set")
         return pos

@@ -28,7 +28,6 @@ from tpwalk import (
     graph_distance_table,
     is_nondegenerate,
     max_step,
-    neighbor_graph,
     perturb,
     random_instance,
     vertex_neighbors,
@@ -87,7 +86,7 @@ def test_distance_table_matches_pointwise(case):
     for a in range(len(verts)):
         for b in range(len(verts)):
             assert table.distance(a, b) == graph_distance(verts[a], verts[b])
-    assert table.diameter == 3
+    assert max(map(max, table.rows)) == graph_diameter(case.inst) == 3
 
 
 def test_vertex_set_is_enumerated_once_per_object(case):
@@ -105,24 +104,21 @@ def test_vertex_set_is_enumerated_once_per_object(case):
 
 
 def test_neighbor_graph_returns_fresh_lists(case):
+    # The set's graph is the one callers read; its rows are tuples, so a
+    # caller cannot change the graph that later distances search.
     verts = enumerate_vertices(case.inst)
-    before = graph_distance(case.O, case.F)
-    adj = neighbor_graph(verts)
-    for row in adj:
-        row.clear()
-    adj.append([0])
-    assert graph_distance(case.O, case.F) == before == 3
-    assert all(len(row) == 2 for row in neighbor_graph(verts))
+    assert isinstance(verts.graph, tuple)
+    assert all(isinstance(row, tuple) and len(row) == 2 for row in verts.graph)
+    assert graph_distance(case.O, case.F) == 3
 
 
 def test_vertex_set_carries_its_graph():
     degenerate = Instance((1, 3, 4), (2, 3, 3))
     for inst in (gen_example1().inst, degenerate):
         verts = enumerate_vertices(inst)
-        assert verts.graph == tuple(map(tuple, neighbor_graph(verts)))
         assert graph_distance_table(inst).verts.graph is verts.graph
         pair = VertexSet(inst, verts.vertices[:2], ((1,), (0,)))
-        assert neighbor_graph(pair) == [[1], [0]]
+        assert pair.graph == ((1,), (0,))
         with pytest.raises(TransportError):
             VertexSet(inst, verts.vertices, verts.graph[:-1])
 
@@ -138,6 +134,14 @@ def test_non_vertex_endpoints_are_refused(case):
     with pytest.raises(TransportError, match="another instance"):
         verts.index_of(other)
     assert verts.index_of(case.F) == verts.index_of(case.F.flows)
+
+
+def test_index_of_reads_any_flow_matrix(case):
+    verts = enumerate_vertices(case.inst)
+    assert verts.index_of([[2, 1, 0], [0, 1, 2]]) == verts.index_of(case.O) == 5
+    assert verts.index_of([["2", "1", 0], [0, 1, "2"]]) == 5
+    with pytest.raises(TransportError, match="equal length"):
+        verts.index_of([[2, 1, 0], [0, 1]])
 
 
 def _pivot_graph(verts):
@@ -158,9 +162,8 @@ def test_neighbor_graph_matches_pivots(m, n, count):
     rng = random.Random(f"pivots:{m}x{n}")
     for _ in range(count):
         verts = enumerate_vertices(random_instance(rng, m, n))
-        adj = neighbor_graph(verts)
-        assert adj == _pivot_graph(verts)
-        assert all(len(row) == (m - 1) * (n - 1) for row in adj)
+        assert list(map(list, verts.graph)) == _pivot_graph(verts)
+        assert all(len(row) == (m - 1) * (n - 1) for row in verts.graph)
 
 
 @pytest.mark.parametrize("make", [
@@ -179,7 +182,7 @@ def test_neighbor_graph_matches_pairwise(make):
     verts = enumerate_vertices(make())
     want = [[b for b, y in enumerate(verts) if b != a and are_adjacent(x, y)]
             for a, x in enumerate(verts)]
-    assert neighbor_graph(verts) == want
+    assert list(map(list, verts.graph)) == want
 
 
 @pytest.mark.parametrize("u,v", [((3, 3), (2, 2, 2)), ((1, 3, 4), (2, 3, 3))])
@@ -194,12 +197,11 @@ def test_stored_graph_matches_fresh_table(u, v):
     table = graph_distance_table(fresh)
     assert table.verts == verts
     assert all(table.distance(a, b) == d for (a, b), d in pointwise.items())
-    assert max(pointwise.values()) == table.diameter == 3
+    assert max(pointwise.values()) == max(map(max, table.rows)) == 3
 
 
 def test_neighbor_graph_degrees(case):
-    verts = enumerate_vertices(case.inst)
-    adj = neighbor_graph(verts)
+    adj = enumerate_vertices(case.inst).graph
     assert all(len(row) == 2 for row in adj)
     assert all(a in adj[b] for b, row in enumerate(adj) for a in row)
 

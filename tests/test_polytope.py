@@ -23,7 +23,6 @@ from tpwalk import (
     hirsch_data,
     insert_pivot,
     is_nondegenerate,
-    neighbor_graph,
     northwest_corner,
     perturb,
     random_instance,
@@ -191,7 +190,7 @@ def test_enumerate_vertices_matches_tree_search(inst):
     assume(tree_count(inst.m, inst.n) <= 2500)
     verts = enumerate_vertices(inst)
     assert [a.flows for a in verts] == sorted(_tree_search(inst))
-    assert neighbor_graph(verts) == _pairwise_graph(verts)
+    assert list(map(list, verts.graph)) == _pairwise_graph(verts)
 
 
 @pytest.mark.parametrize("inst,vertices,bases", [

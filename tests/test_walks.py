@@ -9,10 +9,10 @@ from tpwalk import (
     Walk,
     WalkReport,
     cdfm_walk_2xn,
-    edge_walk_2xn,
+    edge_walk_2xn_report,
     gen_example1,
     is_monotone,
-    monotone_walk_2xn,
+    monotone_walk_2xn_report,
     sign_compatible_decomposition,
     validate_walk,
 )
@@ -24,7 +24,7 @@ def case():
 
 
 def test_valid_walks_of_each_kind(case):
-    edge = edge_walk_2xn(case.O, case.F)
+    edge, _ = edge_walk_2xn_report(case.O, case.F)
     assert validate_walk(edge, case.inst).valid
     cdfm = cdfm_walk_2xn(case.O, case.F)
     assert validate_walk(cdfm, case.inst).valid
@@ -86,7 +86,7 @@ def test_walk_requires_known_kind(case):
 
 def test_is_monotone(case):
     s = [[0, 1, 2], [2, 1, 0]]
-    w = monotone_walk_2xn(case.O, s)
+    w, _ = monotone_walk_2xn_report(case.O, s)
     assert is_monotone(w, s)
     flipped = [[0, -1, -2], [-2, -1, 0]]
     assert not is_monotone(w, flipped)
@@ -157,7 +157,7 @@ def test_violation_classes(case, name):
 
 
 def test_edge_rules_build_no_assignment(case, monkeypatch):
-    walks = [edge_walk_2xn(case.O, case.F), VIOLATIONS["CD_e non-adjacent"][0](case)]
+    walks = [edge_walk_2xn_report(case.O, case.F)[0], VIOLATIONS["CD_e non-adjacent"][0](case)]
     built = []
     monkeypatch.setattr(Assignment, "__post_init__", lambda self: built.append(self))
     assert [validate_walk(w, case.inst).valid for w in walks] == [True, False]
