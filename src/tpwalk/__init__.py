@@ -35,7 +35,6 @@ from .construct import (
     edge_walk_2xn_report,
     edge_walk_3xn_report,
     lp_optimum_2xn,
-    mark_pivot,
     monotone_walk_2xn_report,
 )
 from .instances import (
@@ -58,18 +57,16 @@ from .oracle import (
     graph_distance_table,
 )
 from .polytope import (
-    HirschData,
     PivotResult,
     VertexSet,
     are_adjacent,
     critical_edges,
     enumerate_vertices,
-    hirsch_data,
+    hirsch_bound,
     insert_pivot,
     is_nondegenerate,
     northwest_corner,
     tree_count,
-    vertex_neighbors,
 )
 from .walks import WalkReport, is_monotone, validate_walk
 

@@ -74,12 +74,6 @@ class CircuitSet:
     def __iter__(self):
         return iter(self.circuits)
 
-    def oriented(self):
-        """Both orientations of every circuit."""
-        for g in self.circuits:
-            yield g
-            yield -g
-
     def flat(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         """(increased, decreased) flat cell indices, one pair per circuit."""
         return self._flat

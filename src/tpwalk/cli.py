@@ -59,7 +59,7 @@ from .oracle import (
 from .polytope import (
     critical_edges,
     enumerate_vertices,
-    hirsch_data,
+    hirsch_bound,
     northwest_corner,
 )
 from .walks import is_monotone, validate_walk
@@ -236,15 +236,15 @@ def _cmd_adjacency(args) -> int:
 
 def _cmd_diameter(args) -> int:
     inst, _ = _load_instance(args)
-    hd = hirsch_data(inst)
+    bound = hirsch_bound(inst)
     diam = graph_diameter(inst, cap_trees=args.cap_trees)
-    ok = diam <= hd.bound
+    ok = diam <= bound
     row = {
         "m": inst.m,
         "n": inst.n,
         "diameter": diam,
-        "critical_edges": hd.k,
-        "hirsch_bound": hd.bound,
+        "critical_edges": len(critical_edges(inst)),
+        "hirsch_bound": bound,
         "pass": ok,
     }
     _emit([row], list(row), args.out)
@@ -259,10 +259,9 @@ def _default_cost(inst: Instance):
 
 
 def _edge_bound(inst: Instance) -> int:
-    """The Hirsch-type edge-walk bound with k critical edges: min(n, n+1-k)
-    on 2 rows, n+2-k on 3."""
-    k = len(critical_edges(inst))
-    return min(inst.n, inst.n + 1 - k) if inst.m == 2 else inst.n + 2 - k
+    """The Hirsch bound (n+2-k on 3 rows), and at most n on 2 rows."""
+    bound = hirsch_bound(inst)
+    return min(inst.n, bound) if inst.m == 2 else bound
 
 
 def _cmd_walk(args) -> int:

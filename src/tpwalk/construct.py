@@ -161,10 +161,13 @@ def _mixed_parity_ok(state: MarkState, i: int) -> bool:
     return True
 
 
-def mark_pivot(state: MarkState, i: int) -> tuple[PivotResult | None, MarkState]:
+def _mark_round(state: MarkState, i: int, trace: MarkTrace
+                ) -> tuple[PivotResult | None, MarkState]:
     """One bookkeeping round at supply i: mark one new target edge,
     inserting it first if it is missing. Returns insert_pivot's
-    PivotResult (None for a free mark) and the new state.
+    PivotResult (None for a free mark) and the new state. The walks call
+    it after checking the shape and non-degeneracy once at entry. Counts
+    each round that reaches _step4 in the trace.
 
     Requires the parity hypothesis: every marked edge of the current
     mixed part lies an even number of edges away from supply i, so the
@@ -177,20 +180,6 @@ def mark_pivot(state: MarkState, i: int) -> tuple[PivotResult | None, MarkState]
     trigger the configuration analysis in _step4. Lowest demand index
     breaks every tie.
     """
-    inst = state.current.inst
-    if inst.m not in (2, 3):
-        raise TransportError("marking rounds are defined for 2 or 3 supplies")
-    if not is_nondegenerate(inst):
-        raise DegenerateError("marking rounds need a non-degenerate instance")
-    if not (0 <= i < inst.m):
-        raise TransportError(f"no supply {i}")
-    return _mark_round(state, i, MarkTrace())
-
-
-def _mark_round(state: MarkState, i: int, trace: MarkTrace
-                ) -> tuple[PivotResult | None, MarkState]:
-    """The round body of mark_pivot, for walks that checked the instance
-    once at entry. Counts each round that reaches _step4 in the trace."""
     if not _mixed_parity_ok(state, i):
         raise HypothesisError(
             f"marked mixed edges not all at even positions from supply {i}"

@@ -48,11 +48,14 @@ def parse_rational(x) -> Fraction:
     """Coerce ints, Fractions and "p/q" or "p" strings to Fraction.
 
     Floats are rejected on purpose: a float that survived this far is
-    almost certainly a rounding bug upstream.
+    almost certainly a rounding bug upstream. Booleans are rejected too,
+    though Python counts them as ints: JSON true is not the number 1.
     """
     if isinstance(x, float):
         raise TransportError(f"refusing float {x!r}; pass a string or Fraction")
     if isinstance(x, int):
+        if type(x) is bool:  # bool cannot be subclassed
+            raise TransportError(f"refusing bool {x!r}; pass an int or a string")
         return Fraction(x)
     if isinstance(x, Fraction):
         return x  # immutable, so no copy is needed
@@ -82,10 +85,18 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _not_str(xs, what: str):
+    """xs, unless it is a string, which would iterate as its characters."""
+    if isinstance(xs, str):
+        raise TransportError(f"{what} must be a list, not the string {xs!r}")
+    return xs
+
+
 def as_matrix(rows) -> Matrix:
     """Normalize a nested iterable of rational-likes to a tuple matrix."""
     try:
-        mat = tuple(tuple(parse_rational(x) for x in row) for row in rows)
+        mat = tuple(tuple(parse_rational(x) for x in _not_str(row, "a matrix row"))
+                    for row in _not_str(rows, "a matrix"))
     except TypeError:
         raise TransportError(f"cannot read a matrix from {rows!r}") from None
     if not mat or any(len(row) != len(mat[0]) for row in mat):
@@ -111,8 +122,9 @@ class Instance:
 
     def __post_init__(self):
         try:
-            object.__setattr__(self, "u", tuple(parse_rational(x) for x in self.u))
-            object.__setattr__(self, "v", tuple(parse_rational(x) for x in self.v))
+            for name in ("u", "v"):
+                xs = _not_str(getattr(self, name), name)
+                object.__setattr__(self, name, tuple(map(parse_rational, xs)))
         except TypeError:
             raise TransportError("margins must be lists of rationals") from None
         if len(self.u) < 2 or len(self.v) < 2:

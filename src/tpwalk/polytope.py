@@ -4,7 +4,7 @@ Non-degeneracy (exact subset sums of the LCD-scaled integer margins,
 pseudo-polynomial in their total), the vertices and the skeleton graph
 from one pivot search over feasible bases, adjacency of two vertices
 (unique cycle in the union of their supports), critical edges and the
-resulting pivot bound m+n-1-k.
+Hirsch bound they lower.
 
 Critical edges need no enumeration: row i and column j share only cell
 (i, j), so every feasible y has y_ij >= u_i + v_j - T (T the margin total),
@@ -319,25 +319,6 @@ def insert_pivot(vertex: Assignment, edge: Edge) -> PivotResult:
     return PivotResult(g, alpha, deleted, result)
 
 
-def vertex_neighbors(vertex: Assignment) -> list[PivotResult]:
-    """All single-insertion pivots, one per absent edge, sorted by edge.
-
-    For non-degenerate instances these are exactly the skeleton neighbors,
-    (m-1)(n-1) of them, pairwise distinct.
-    """
-    m, n = vertex.inst.m, vertex.inst.n
-    return [insert_pivot(vertex, (i, j)) for i in range(m) for j in range(n)
-            if (i, j) not in vertex.support]
-
-
-@dataclass(frozen=True)
-class HirschData:
-    """Critical-edge count and the pivot bound m+n-1-k it implies."""
-
-    k: int
-    bound: int
-
-
 def critical_edges(inst: Instance) -> frozenset[Edge]:
     """Edges positive at every feasible point: u_i + v_j > T. O(mn).
 
@@ -349,6 +330,7 @@ def critical_edges(inst: Instance) -> frozenset[Edge]:
                      for j, b in enumerate(inst.v) if a + b > total)
 
 
-def hirsch_data(inst: Instance) -> HirschData:
-    k = len(critical_edges(inst))
-    return HirschData(k=k, bound=inst.m + inst.n - 1 - k)
+def hirsch_bound(inst: Instance) -> int:
+    """The Hirsch bound m+n-1-k, with k = len(critical_edges(inst)): each
+    vertex support holds the k critical edges among its m+n-1. O(mn)."""
+    return inst.m + inst.n - 1 - len(critical_edges(inst))

@@ -75,6 +75,15 @@ def test_diameter_row():
         "m": 2, "n": 3, "diameter": 2, "critical_edges": 2,
         "hirsch_bound": 2, "pass": True,
     }
+    # k = 2 above, where m+n-1-k and the edge-walk bound min(n, n+1-k)
+    # agree. Here k = 0: diameter reports m+n-1-k = 4, not 3.
+    rc, out, _ = run(["diameter", "--gen", "example1"])
+    assert rc == 0
+    (row,) = json.loads(out)
+    assert row == {
+        "m": 2, "n": 3, "diameter": 3, "critical_edges": 0,
+        "hirsch_bound": 4, "pass": True,
+    }
 
 
 @pytest.mark.parametrize(
@@ -288,6 +297,8 @@ WALK_IN = ["walk", "--in", "{}", "--kind", "cdfm"]
     ([1, 2], ["vertices", "--in", "{}"]),
     ("abc", ["vertices", "--in", "{}"]),
     ({"instance": [1, 2]}, ["vertices", "--in", "{}"]),
+    ({"u": [True, 2], "v": [1, 2]}, ["vertices", "--in", "{}"]),
+    ({"u": "33", "v": "222"}, ["vertices", "--in", "{}"]),
 ])
 def test_malformed_json_is_a_usage_error(tmp_path, doc, args):
     path = tmp_path / "bad.json"

@@ -9,6 +9,7 @@ from tpwalk import (
     DegenerateError,
     Instance,
     MarkState,
+    MarkTrace,
     PivotResult,
     TransportError,
     UnreachableCaseError,
@@ -21,13 +22,13 @@ from tpwalk import (
     gen_example1,
     graph_distance,
     lp_optimum_2xn,
-    mark_pivot,
     monotone_walk_2xn_report,
     northwest_corner,
     objective,
     random_instance,
     validate_walk,
 )
+from tpwalk.construct import _mark_round
 
 
 @pytest.fixture()
@@ -88,7 +89,7 @@ def test_mark_state_validation(three_by_three):
 
 def test_mark_pivot_single_round(case):
     state = MarkState(case.O, frozenset(), case.F)
-    choice, after = mark_pivot(state, 0)
+    choice, after = _mark_round(state, 0, MarkTrace())
     assert isinstance(choice, PivotResult)
     assert choice.result == after.current
     assert choice.deleted == {(0, 1)}
@@ -98,7 +99,8 @@ def test_mark_pivot_single_round(case):
 
 def test_mark_pivot_free_mark(case):
     """A target edge already present is marked without a pivot."""
-    choice, after = mark_pivot(MarkState(case.F, frozenset(), case.F), 0)
+    choice, after = _mark_round(MarkState(case.F, frozenset(), case.F), 0,
+                                MarkTrace())
     assert choice is None
     assert after.current is case.F
     assert after.marked == frozenset({(0, 2)})
@@ -107,13 +109,6 @@ def test_mark_pivot_free_mark(case):
 def _degenerate_pair(u, v):
     verts = enumerate_vertices(Instance(u, v))
     return verts[0], verts[-1]
-
-
-@pytest.mark.parametrize("u,v", [((2, 2), (2, 2)), ((1, 1, 2), (2, 2))])
-def test_mark_pivot_rejects_degenerate(u, v):
-    O, F = _degenerate_pair(u, v)
-    with pytest.raises(DegenerateError):
-        mark_pivot(MarkState(O, frozenset(), F), 0)
 
 
 @pytest.mark.parametrize("walk", [

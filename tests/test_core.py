@@ -44,6 +44,13 @@ def test_parse_rational_refuses_float():
         parse_rational(1.5)
 
 
+@pytest.mark.parametrize("raw", [True, False])
+def test_parse_rational_refuses_bool(raw):
+    # bool is an int subclass, so unchecked JSON true reads as 1.
+    with pytest.raises(TransportError, match="refusing bool"):
+        parse_rational(raw)
+
+
 @pytest.mark.parametrize("raw", ["1/0", "abc"])
 def test_parse_rational_refuses_unreadable_string(raw):
     with pytest.raises(TransportError, match="cannot read a rational"):
@@ -65,6 +72,13 @@ def test_as_matrix_rejects_ragged():
         as_matrix(5)
     with pytest.raises(TransportError, match="cannot read a matrix"):
         as_matrix([1, 2])
+    # A string iterates as its characters: unchecked, ["210", "012"] reads
+    # as a 2x3 matrix.
+    with pytest.raises(TransportError, match="matrix row must be a list"):
+        as_matrix(["210", "012"])
+    with pytest.raises(TransportError, match="matrix must be a list"):
+        as_matrix("12")
+    assert as_matrix([["2", "1/2"]]) == ((2, Fraction(1, 2)),)
 
 
 def test_instance_validation():
@@ -78,6 +92,10 @@ def test_instance_validation():
         Instance((-1, 7), (2, 2, 2))
     with pytest.raises(TransportError, match="lists of rationals"):
         Instance(5, (2, 2, 2))
+    with pytest.raises(TransportError, match="not the string '33'"):
+        Instance("33", "222")
+    with pytest.raises(TransportError, match="not the string '222'"):
+        Instance((3, 3), "222")
 
 
 def test_support_graph():

@@ -26,11 +26,11 @@ from tpwalk import (
     graph_diameter,
     graph_distance,
     graph_distance_table,
+    insert_pivot,
     is_nondegenerate,
     max_step,
     perturb,
     random_instance,
-    vertex_neighbors,
 )
 
 
@@ -147,9 +147,11 @@ def test_index_of_reads_any_flow_matrix(case):
 def _pivot_graph(verts):
     """The graph as one insertion pivot per absent edge gives it, each
     pivot deleting one edge (non-degenerate instances only)."""
+    m, n = verts.inst.m, verts.inst.n
     out = []
     for a in verts:
-        pivots = vertex_neighbors(a)
+        pivots = [insert_pivot(a, (i, j)) for i in range(m) for j in range(n)
+                  if (i, j) not in a.support]
         assert all(len(piv.deleted) == 1 for piv in pivots)
         out.append(sorted(verts.index_of(piv.result) for piv in pivots))
     return out
@@ -391,7 +393,7 @@ def _reference_cdfm(O, F, depth_cap=None, cap_states=10**6, circuits=None):
     if depth_cap is None:
         depth_cap = inst.m + inst.n
     cs = circuits if circuits is not None else enumerate_circuits(inst.m, inst.n)
-    oriented = list(cs.oriented())
+    oriented = [x for g in cs for x in (g, -g)]
     goal = F.flows
     if O.flows == goal:
         return 0

@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tpwalk import (
-    HirschData,
     Instance,
     ResourceLimitError,
     TransportError,
@@ -20,14 +19,13 @@ from tpwalk import (
     gen_diameter_n,
     gen_example1,
     gen_hirsch_sharp,
-    hirsch_data,
+    hirsch_bound,
     insert_pivot,
     is_nondegenerate,
     northwest_corner,
     perturb,
     random_instance,
     tree_count,
-    vertex_neighbors,
 )
 
 
@@ -216,10 +214,16 @@ def test_insert_pivot_pinned():
         insert_pivot(case.O, (0, 0))
 
 
+def _pivots(v):
+    """One insertion pivot per cell outside the support of vertex v."""
+    return [insert_pivot(v, (i, j)) for i in range(v.inst.m)
+            for j in range(v.inst.n) if (i, j) not in v.support]
+
+
 def test_vertex_neighbors_regular():
     case = gen_example1()
     for v in enumerate_vertices(case.inst):
-        pivs = vertex_neighbors(v)
+        pivs = _pivots(v)
         assert len(pivs) == 2
         results = {p.result.flows for p in pivs}
         assert len(results) == 2
@@ -233,11 +237,12 @@ def test_adjacency_is_not_transitive_closure():
     assert not are_adjacent(case.O, case.F)
 
 
-def test_critical_edges_and_hirsch_data():
+def test_critical_edges_and_hirsch_bound():
     assert critical_edges(gen_example1().inst) == frozenset()
+    assert hirsch_bound(gen_example1().inst) == 4
     cc = gen_coincide(3)
     assert set(critical_edges(cc.inst)) == {(0, 0), (1, 0)}
-    assert hirsch_data(cc.inst) == HirschData(k=2, bound=2)
+    assert hirsch_bound(cc.inst) == 2
 
 
 def _scan_critical_edges(inst):
@@ -276,11 +281,11 @@ def test_critical_edges_beyond_the_tree_cap():
     with pytest.raises(ResourceLimitError):
         enumerate_vertices(inst)
     assert critical_edges(inst) == frozenset()
-    assert hirsch_data(inst) == HirschData(k=0, bound=23)
+    assert hirsch_bound(inst) == 23
     # Row 1 carries 1/2 in all, so every column takes at least 1/2 from row 0.
     inst = Instance((Fraction(43, 2), Fraction(1, 2)), (1,) * 22)
     assert critical_edges(inst) == {(0, j) for j in range(22)}
-    assert hirsch_data(inst) == HirschData(k=22, bound=1)
+    assert hirsch_bound(inst) == 1
 
 
 @given(st.integers(0, 10**6))
@@ -304,7 +309,7 @@ def test_pivot_walks_stay_on_vertices(seed):
     inst = random_instance(rng, rng.choice((2, 3)), rng.choice((3, 4)))
     v = northwest_corner(inst)
     for _ in range(4):
-        pivs = vertex_neighbors(v)
+        pivs = _pivots(v)
         assert len(pivs) == (inst.m - 1) * (inst.n - 1)
         piv = rng.choice(pivs)
         assert len(piv.deleted) == 1
